@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Reproduce the 1-D Gaussian rate sweep: excess risk and corrected W2 vs n.
 
-Writes sweep.csv, sweep_fit.json and a plotting script into the output
+Writes sweep.csv, sweep_failures.csv and sweep_fit.json into the output
 directory. Expect a slope near -1 for excess risk and near -0.5 for the
 baseline-corrected W2. Roughly a minute single-core at the default grid.
 """

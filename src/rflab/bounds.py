@@ -243,10 +243,6 @@ def sample_size(inputs: BoundInputs) -> int:
     return hi
 
 
-def stat_bound_and_sample_size(inputs: BoundInputs) -> tuple[float, int]:
-    return stat_bound(inputs), sample_size(inputs)
-
-
 # -- empirical Rademacher lower estimate ---------------------------------------
 
 
@@ -343,7 +339,7 @@ def empirical_local_rademacher(sampler, net_ref, data, r: float,
             _pull_to_ball(net, theta_ref, ref_loss, data, r, l_ell)
             for _ in range(ascent_steps):
                 _, g = net.loss_and_grad(data, sample_weights=signs)
-                net.set_theta(net.get_theta() + step_size * g)
+                net.theta += step_size * g
                 net.project_constraints()
                 _pull_to_ball(net, theta_ref, ref_loss, data, r, l_ell)
             val = float(np.mean(signs * (_per_sample_loss(net, data) - ref_loss)))

@@ -15,6 +15,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -26,14 +27,14 @@ import numpy as np
 
 from . import __version__
 from .bounds import BoundInputs, VacuousRegimeError, bernstein_B, full_report
-from .distributions import DistributionSpec, draw_coupled
+from .distributions import CoupledBatch, DistributionSpec, draw_coupled
 from .linalg_rng import RngStream, splitmix64
 from .metrics import excess_risk, fit_rate, w2_empirical
-from .network import (NetArchitecture, VelocityNet, backward,
-                      finite_diff_grad, load_checkpoint, save_checkpoint)
+from .network import (NetArchitecture, VelocityNet, finite_diff_grad,
+                      load_checkpoint, save_checkpoint)
 from .oracles import (GaussianPairSpec, LowerBoundInstance, lecam_budget,
                       lowerbound_grid, tv_distance_mixtures,
-                      velocity_l2_error, velocity_separation, vstar_field)
+                      velocity_l2_error, velocity_separation)
 from .sampler import ReflowState, euler_integrate, reflow, straightness
 from .training import DivergenceError, TrainConfig, train
 
@@ -331,58 +332,54 @@ def cmd_sample(exp: Experiment, args) -> int:
 
 # -- sweep -----------------------------------------------------------------------
 
-_CTX: dict = {}
-
-
 def _cell_seed(seed: int, n: int, trial: int) -> int:
     return splitmix64(seed ^ splitmix64(n * 4096 + trial))
 
 
-def _run_cell(payload):
-    n, trial = payload
-    exp_seed = _CTX["seed"]
-    pi0 = DistributionSpec.from_json(_CTX["pi0"])
-    pi1 = DistributionSpec.from_json(_CTX["pi1"])
-    arch = NetArchitecture.from_json(_CTX["arch"])
-    cell_seed = _cell_seed(exp_seed, n, trial)
-    s = RngStream(exp_seed).derive(n).derive(trial)
+@dataclasses.dataclass(frozen=True)
+class _SweepJob:
+    """What every sweep cell reads: the experiment, the trained proxy, the
+    shared holdout batch, and the Gaussian pair whose closed-form velocity
+    scores the cell (None unless both endpoints are equal-std Gaussians)."""
+
+    exp: Experiment
+    proxy: VelocityNet
+    holdout: CoupledBatch
+    gauss_pair: GaussianPairSpec | None
+
+
+def _run_cell(job: _SweepJob, cell):
+    n, trial = cell
+    exp, sw = job.exp, job.exp.sweep
+    cell_seed = _cell_seed(exp.seed, n, trial)
+    s = RngStream(exp.seed).derive(n).derive(trial)
     t0 = time.perf_counter()
     try:
-        data = draw_coupled(s.derive(1), pi0, pi1, n)
-        net = VelocityNet.init(arch, s.derive(2))
-        batch = min(_CTX["batch_size"], n)
-        steps = _sweep_steps(_CTX["epochs"], n, batch, _CTX["steps_exponent"])
-        cfg = TrainConfig(n_samples=n, batch_size=batch, steps=steps,
-                          schedule=_CTX["schedule"], eta=_CTX["eta"],
-                          c=_CTX["c"], gamma=_CTX["gamma"], seed=cell_seed,
-                          record_every=max(1, steps))
+        data = draw_coupled(s.derive(1), exp.pi0, exp.pi1, n)
+        net = VelocityNet.init(exp.arch, s.derive(2))
+        batch = min(exp.train_block["batch_size"], n)
+        steps = _sweep_steps(sw.epochs, n, batch, sw.steps_exponent)
+        cfg = exp.train_config(n_samples=n, batch_size=batch, steps=steps,
+                               seed=cell_seed, record_every=max(1, steps))
         train(net, data, cfg)
 
-        proxy = VelocityNet.from_json_weights(_CTX["proxy"])
-        holdout = _CTX["holdout"]
-        excess = excess_risk(net, proxy, holdout)
-        if _CTX["gauss_pair"] is not None:
-            gp = GaussianPairSpec(**_CTX["gauss_pair"])
-            vel, _ = velocity_l2_error(net, gp, _CTX["eval_samples"],
+        excess = excess_risk(net, job.proxy, job.holdout)
+        if job.gauss_pair is not None:
+            vel, _ = velocity_l2_error(net, job.gauss_pair, sw.eval_samples,
                                        s.derive(3))
         else:
             vel = float("nan")
-        m = _CTX["eval_samples"]
-        z0 = pi0.sample(s.derive(4), m)
-        z1, _ = euler_integrate(net, z0, _CTX["euler_steps"])
-        ref = pi1.sample(s.derive(5), m)
-        refb = pi1.sample(s.derive(6), m)
+        m = sw.eval_samples
+        z0 = exp.pi0.sample(s.derive(4), m)
+        z1, _ = euler_integrate(net, z0, sw.euler_steps)
+        ref = exp.pi1.sample(s.derive(5), m)
+        refb = exp.pi1.sample(s.derive(6), m)
         w2 = w2_empirical(z1, ref)
         w2_base = w2_empirical(refb, ref)
         ms = 1000.0 * (time.perf_counter() - t0)
         return ("ok", [n, trial, cell_seed, excess, vel, w2, w2_base, ms])
     except (DivergenceError, FloatingPointError) as e:
         return ("fail", [n, trial, cell_seed, type(e).__name__, str(e)])
-
-
-def _init_worker(ctx):
-    global _CTX
-    _CTX = ctx
 
 
 def _train_proxy(exp: Experiment) -> VelocityNet:
@@ -411,28 +408,16 @@ def cmd_sweep(exp: Experiment, args) -> int:
     gauss_pair = None
     if exp.pi0.kind == "gaussian" and exp.pi1.kind == "gaussian" \
             and abs(exp.pi0.std - exp.pi1.std) < 1e-12:
-        gauss_pair = {"mu0": exp.pi0.mean_vector(), "mu1": exp.pi1.mean_vector(),
-                      "std0": exp.pi0.std, "std1": exp.pi1.std}
+        gauss_pair = GaussianPairSpec(exp.pi0.mean_vector(), exp.pi1.mean_vector(),
+                                      exp.pi0.std, exp.pi1.std)
 
-    ctx = {
-        "seed": exp.seed, "pi0": exp.pi0.to_json(), "pi1": exp.pi1.to_json(),
-        "arch": exp.arch.to_json(), "proxy": proxy.to_json_weights(),
-        "holdout": holdout, "gauss_pair": gauss_pair,
-        "batch_size": exp.train_block["batch_size"],
-        "epochs": sw.epochs, "schedule": exp.train_block["schedule"],
-        "eta": exp.train_block["eta"], "c": exp.train_block["c"],
-        "gamma": exp.train_block["gamma"],
-        "eval_samples": sw.eval_samples, "euler_steps": sw.euler_steps,
-        "steps_exponent": sw.steps_exponent,
-    }
+    run = functools.partial(_run_cell, _SweepJob(exp, proxy, holdout, gauss_pair))
     cells = [(n, t) for n in sw.grid for t in range(sw.trials)]
     if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs, initializer=_init_worker,
-                                  initargs=(ctx,)) as pool:
-            results = pool.map(_run_cell, cells)
+        with multiprocessing.Pool(args.jobs) as pool:
+            results = pool.map(run, cells)
     else:
-        _init_worker(ctx)
-        results = [_run_cell(c) for c in cells]
+        results = list(map(run, cells))
 
     rows = sorted((r for kind, r in results if kind == "ok"),
                   key=lambda r: (r[0], r[1]))
@@ -468,65 +453,11 @@ def cmd_sweep(exp: Experiment, args) -> int:
                                 "stderr": f.stderr, "r2": f.r2}
     summary["fits"] = fits
     write_json(os.path.join(out, "sweep_fit.json"), exp, summary)
-    _emit_plot_script(os.path.join(out, "plot_sweep.py"))
     for name, f in fits.items():
         print(f"sweep: {name} slope {f['slope']:.4f} "
               f"(stderr {f['stderr']:.4f}, r2 {f['r2']:.4f})")
     print(f"sweep: {len(rows)} rows, {len(failures)} failures")
     return EXIT_OK
-
-
-_PLOT_SCRIPT = '''\
-#!/usr/bin/env python3
-"""Log-log rate plot for a sweep.csv produced by the sweep subcommand."""
-import csv
-import math
-import sys
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-path = sys.argv[1] if len(sys.argv) > 1 else "sweep.csv"
-rows = []
-with open(path) as fh:
-    for line in fh:
-        if not line.startswith("#"):
-            break
-    reader = csv.DictReader(fh.read().splitlines(),
-                            fieldnames=line.strip().split(","))
-    next(reader)
-    rows = [r for r in reader]
-rows = [r for r in rows if r.get("n")]
-
-by_n = {}
-for r in rows:
-    n = int(r["n"])
-    w2c = math.sqrt(max(float(r["w2"]) ** 2 - float(r["w2_baseline"]) ** 2, 1e-12))
-    by_n.setdefault(n, []).append((float(r["excess_risk"]), w2c))
-
-ns = sorted(by_n)
-med = lambda xs: sorted(xs)[len(xs) // 2]
-ex = [med([v[0] for v in by_n[n]]) for n in ns]
-w2 = [med([v[1] for v in by_n[n]]) for n in ns]
-
-fig, axes = plt.subplots(1, 2, figsize=(10, 4))
-for ax, ys, label, slope in ((axes[0], ex, "excess risk", -1.0),
-                             (axes[1], w2, "W2 (corrected)", -0.5)):
-    ax.loglog(ns, ys, "o-", label=label)
-    ref = [ys[0] * (n / ns[0]) ** slope for n in ns]
-    ax.loglog(ns, ref, "--", label=f"slope {slope}")
-    ax.set_xlabel("n")
-    ax.legend()
-fig.tight_layout()
-fig.savefig("sweep.png", dpi=150)
-print("wrote sweep.png")
-'''
-
-
-def _emit_plot_script(path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_PLOT_SCRIPT)
 
 
 # -- bounds ----------------------------------------------------------------------
@@ -634,7 +565,7 @@ def cmd_gradcheck(exp: Experiment, args) -> int:
         pi = DistributionSpec(kind="gaussian", dim=arch.dim,
                               mean=np.zeros(arch.dim), std=1.0)
         data = draw_coupled(s.derive(1), pi, pi, 16)
-        g = backward(net, data)
+        g = net.loss_and_grad(data)[1]
         fd = finite_diff_grad(net, data)
         denom = max(float(np.linalg.norm(fd)), 1e-12)
         rel = float(np.linalg.norm(g - fd)) / denom

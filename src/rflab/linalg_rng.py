@@ -50,60 +50,37 @@ class RngStream:
         return f"RngStream(base_seed={self.base_seed}, stream_id={self.stream_id})"
 
 
-def gaussian_sample(rng: RngStream, mean, std: float, n: int | None = None) -> np.ndarray:
-    """Draw N(mean, std^2 I). Returns (d,) when n is None, else (n, d).
-
-    std = 0 is the degenerate case and returns copies of mean without touching
-    the stream state beyond the normal draw it skips.
-    """
-    mean = np.asarray(mean, dtype=np.float64)
-    if mean.ndim != 1:
-        raise ValueError("mean must be a 1-D vector")
-    if not np.isfinite(mean).all():
-        raise ValueError("mean has non-finite entries")
-    if not (std >= 0 and np.isfinite(std)):
-        raise ValueError("std must be nonnegative and finite")
-    shape = (mean.size,) if n is None else (int(n), mean.size)
-    if std == 0:
-        return np.broadcast_to(mean, shape).copy()
-    return mean + std * rng.gen.standard_normal(shape)
-
-
 def l1_project_row(w, radius: float) -> np.ndarray:
-    """Euclidean projection of w onto the l1 ball of the given radius.
+    """Euclidean projection onto the l1 ball of the given radius, of a vector
+    or of every row of a matrix at once.
 
-    Sort-and-threshold, O(m log m): find the largest rho with
+    Sort-and-threshold, O(m log m) per row: find the largest rho with
     u_rho - (cumsum(u)_rho - radius)/rho > 0 over the sorted magnitudes u,
-    then soft-threshold at tau = (cumsum(u)_rho - radius)/rho. Vectors already
+    then soft-threshold at tau = (cumsum(u)_rho - radius)/rho. Rows already
     inside the ball come back unchanged (as a copy). Deterministic under ties.
     """
     if not (radius > 0 and np.isfinite(radius)):
         raise ValueError("radius must be positive and finite")
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValueError("l1_project_row expects a 1-D vector")
+    if w.ndim not in (1, 2):
+        raise ValueError("l1_project_row expects a vector or a matrix")
     if not np.isfinite(w).all():
         raise ValueError("cannot project a vector with non-finite entries")
-    a = np.abs(w)
-    if a.sum() <= radius:
-        return w.copy()
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, u.size + 1, dtype=np.float64)
-    rho = np.nonzero(u - (css - radius) / ks > 0)[0][-1]
-    tau = (css[rho] - radius) / (rho + 1.0)
-    return np.sign(w) * np.maximum(a - tau, 0.0)
-
-
-def project_rows(mat, radius: float) -> np.ndarray:
-    """Row-wise l1 projection of a matrix; returns a new array."""
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ValueError("project_rows expects a matrix")
-    out = np.empty_like(mat)
-    for i in range(mat.shape[0]):
-        out[i] = l1_project_row(mat[i], radius)
-    return out
+    rows = w.reshape(-1, w.shape[-1])
+    a = np.abs(rows)
+    u = np.sort(a, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    ks = np.arange(1, u.shape[1] + 1, dtype=np.float64)
+    # rho is the last index where the condition holds. Index 0 always holds
+    # in exact arithmetic, but cancellation can lose it when |w| >> radius
+    cond = u - (css - radius) / ks > 0
+    cond[:, 0] = True
+    rho = u.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)
+    tau = (css[np.arange(rho.size), rho] - radius) / (rho + 1.0)
+    out = np.sign(rows) * np.maximum(a - tau[:, None], 0.0)
+    inside = a.sum(axis=1) <= radius
+    out[inside] = rows[inside]
+    return out.reshape(w.shape)
 
 
 def assert_all_finite(name: str, arr) -> np.ndarray:
@@ -112,3 +89,24 @@ def assert_all_finite(name: str, arr) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def as_field_input(x, t=0.0) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Normalise the (x, t) input of a velocity field: x is (d,) or (n, d);
+    t is a scalar or (n,) in [0, 1]. Returns x as (n, d), t as (n,), and
+    whether x was a single point."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2):
+        raise ValueError("x must be (d,) or (n, d)")
+    single = x.ndim == 1
+    xb = x[None, :] if single else x
+    tb = np.asarray(t, dtype=np.float64)
+    if tb.ndim == 0:
+        tb = np.full(xb.shape[0], float(tb))
+    if tb.shape != (xb.shape[0],):
+        raise ValueError("t must be a scalar or (n,)")
+    if not (np.isfinite(xb).all() and np.isfinite(tb).all()):
+        raise ValueError("non-finite field input")
+    if np.any(tb < 0.0) or np.any(tb > 1.0):
+        raise ValueError("t must lie in [0, 1]")
+    return xb, tb, single

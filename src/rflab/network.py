@@ -8,8 +8,8 @@ obeys |w . z + beta b| <= V * b. That makes the output bound M0 = V * b exact
 and keeps the derived Lipschitz constants valid at all times under projected
 updates. Layers 1..D-1 carry the bounded activation, layer D is affine.
 
-Forward/backward are written out by hand (no autodiff) and checked against
-central finite differences in the test suite.
+The forward pass and its gradient are written out by hand (no autodiff) and
+checked against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import numpy as np
 
 from .distributions import CoupledBatch
-from .linalg_rng import RngStream, l1_project_row
+from .linalg_rng import RngStream, as_field_input, l1_project_row
 
 # Architecture constant in the parameter-Lipschitz bound L_theta = C_ARCH * D * (L_phi V)^D.
 # The source bound leaves the constant unnamed; we fix 1.0 and report it.
@@ -152,11 +152,23 @@ def loss_lipschitz(out_bound: float, disp_bound: float) -> float:
     return 2.0 * (out_bound + disp_bound)
 
 
+def _layer_views(arch: NetArchitecture, flat: np.ndarray) -> list[np.ndarray]:
+    """Row-major (out_k, in_k + 1) views, layer by layer, into a flat buffer."""
+    dims = arch.layer_dims
+    views, pos = [], 0
+    for k in range(len(dims) - 1):
+        shape = (dims[k + 1], dims[k] + 1)
+        views.append(flat[pos:pos + shape[0] * shape[1]].reshape(shape))
+        pos += shape[0] * shape[1]
+    return views
+
+
 class VelocityNet:
     """Velocity field v_theta(x, t) with per-row l1-constrained augmented weights.
 
-    weights[k] has shape (out_k, in_k + 1); column in_k is the bias coordinate,
-    whose input channel is the constant act_bound.
+    theta is the one parameter buffer; weights[k] is a view into it of shape
+    (out_k, in_k + 1), and column in_k is the bias coordinate, whose input
+    channel is the constant act_bound.
     """
 
     def __init__(self, arch: NetArchitecture, weights: list[np.ndarray]):
@@ -168,8 +180,13 @@ class VelocityNet:
                 raise ValueError(f"layer {k} has shape {w.shape}, "
                                  f"expected {(dims[k + 1], dims[k] + 1)}")
         self.arch = arch
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        self.theta = np.concatenate(
+            [np.asarray(w, dtype=np.float64).ravel() for w in weights])
+        self.weights = _layer_views(arch, self.theta)
         self._act = arch.act()
+
+    def __reduce__(self):
+        return VelocityNet, (self.arch, self.weights)
 
     @classmethod
     def init(cls, arch: NetArchitecture, rng: RngStream) -> "VelocityNet":
@@ -190,18 +207,7 @@ class VelocityNet:
                           for k in range(len(dims) - 1)])
 
     def copy(self) -> "VelocityNet":
-        return VelocityNet(self.arch, [w.copy() for w in self.weights])
-
-    def to_json_weights(self) -> dict:
-        """Plain-JSON snapshot (architecture + flat parameters); the loss-free
-        route for shipping a net across process boundaries."""
-        return {"arch": self.arch.to_json(), "theta": self.get_theta().tolist()}
-
-    @classmethod
-    def from_json_weights(cls, obj: dict) -> "VelocityNet":
-        net = cls.zeros(NetArchitecture.from_json(obj["arch"]))
-        net.set_theta(np.asarray(obj["theta"], dtype=np.float64))
-        return net
+        return VelocityNet(self.arch, self.weights)
 
     # -- parameter vector view ------------------------------------------------
 
@@ -210,16 +216,13 @@ class VelocityNet:
         return self.arch.param_count
 
     def get_theta(self) -> np.ndarray:
-        return np.concatenate([w.ravel() for w in self.weights])
+        return self.theta.copy()
 
     def set_theta(self, theta: np.ndarray) -> None:
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.param_count,):
             raise ValueError("theta has the wrong length")
-        pos = 0
-        for w in self.weights:
-            w[...] = theta[pos:pos + w.size].reshape(w.shape)
-            pos += w.size
+        self.theta[:] = theta
 
     def project_constraints(self) -> "VelocityNet":
         """Project every augmented row onto the l1 ball of radius V, in place."""
@@ -227,14 +230,13 @@ class VelocityNet:
         for w in self.weights:
             if np.abs(w).sum(axis=1).max() <= v:
                 continue
-            for i in range(w.shape[0]):
-                w[i] = l1_project_row(w[i], v)
+            w[...] = l1_project_row(w, v)
         return self
 
     def max_row_l1(self) -> float:
         return max(float(np.abs(w).sum(axis=1).max()) for w in self.weights)
 
-    # -- forward / backward ---------------------------------------------------
+    # -- forward pass and gradient --------------------------------------------
 
     def _aug(self, a: np.ndarray) -> np.ndarray:
         col = np.full((a.shape[0], 1), self.arch.act_bound)
@@ -255,16 +257,7 @@ class VelocityNet:
 
     def __call__(self, x, t):
         """v_theta(x, t). x: (d,) or (n, d); t: scalar in [0,1] or (n,)."""
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        xb = x[None, :] if single else x
-        tb = np.asarray(t, dtype=np.float64)
-        if tb.ndim == 0:
-            tb = np.full(xb.shape[0], float(tb))
-        if not (np.isfinite(xb).all() and np.isfinite(tb).all()):
-            raise ValueError("non-finite network input")
-        if np.any(tb < 0.0) or np.any(tb > 1.0):
-            raise ValueError("t must lie in [0, 1]")
+        xb, tb, single = as_field_input(x, t)
         out, _, _ = self._forward(xb, tb, keep=False)
         return out[0] if single else out
 
@@ -291,19 +284,15 @@ class VelocityNet:
         else:
             wts = np.asarray(sample_weights, dtype=np.float64) / n
         loss = float(np.dot((res * res).sum(axis=1), wts))
-        grads = [None] * len(self.weights)
+        grad = np.empty(self.param_count)
+        grads = _layer_views(self.arch, grad)
         g = 2.0 * res * wts[:, None]
         for k in range(len(self.weights) - 1, -1, -1):
-            grads[k] = g.T @ self._aug(acts[k])
+            np.matmul(g.T, self._aug(acts[k]), out=grads[k])
             if k > 0:
                 da = g @ self.weights[k][:, :-1]
                 g = da * self._act.deriv(pres[k - 1], acts[k])
-        return loss, np.concatenate([gw.ravel() for gw in grads])
-
-
-def backward(net: VelocityNet, batch: CoupledBatch) -> np.ndarray:
-    """Gradient of the batch-mean squared loss; flat array of length P."""
-    return net.loss_and_grad(batch)[1]
+        return loss, grad
 
 
 def finite_diff_grad(net: VelocityNet, batch: CoupledBatch, h: float = 1e-5) -> np.ndarray:

@@ -16,7 +16,7 @@ import math
 import numpy as np
 from scipy import integrate
 
-from .linalg_rng import RngStream
+from .linalg_rng import RngStream, as_field_input
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -59,14 +59,7 @@ def vstar_gaussian(spec: GaussianPairSpec, x, t):
     """
     if not spec.equal_variance:
         raise ValueError("closed form needs std0 = std1; use conditional_mean_mc")
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    tb = np.asarray(t, dtype=np.float64)
-    if tb.ndim == 0:
-        tb = np.full(xb.shape[0], float(tb))
-    if np.any(tb < 0.0) or np.any(tb > 1.0):
-        raise ValueError("t must lie in [0, 1]")
+    xb, tb, single = as_field_input(x, t)
     coef = (2.0 * tb - 1.0) / ((1.0 - tb) ** 2 + tb ** 2)
     center = (1.0 - tb)[:, None] * spec.mu0 + tb[:, None] * spec.mu1
     out = (spec.mu1 - spec.mu0) + coef[:, None] * (xb - center)

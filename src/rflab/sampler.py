@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 
 from .distributions import DistributionSpec, couple_given
-from .linalg_rng import RngStream, splitmix64
+from .linalg_rng import RngStream, as_field_input, splitmix64
 from .network import VelocityNet
 from .training import TrainConfig, TrainTrace, train
 
@@ -45,15 +45,6 @@ class FlowTrajectory:
         return self.states[0], self.states[-1]
 
 
-def _as_batch(z0) -> tuple[np.ndarray, bool]:
-    z0 = np.asarray(z0, dtype=np.float64)
-    if z0.ndim == 1:
-        return z0[None, :], True
-    if z0.ndim == 2:
-        return z0, False
-    raise ValueError("z0 must be (d,) or (n, d)")
-
-
 def euler_integrate(field, z0, steps: int, record: bool = False):
     """Integrate dZ = field(Z, t) dt over [0, 1] on the uniform S-step grid:
     Z_{s+1} = Z_s + (1/S) field(Z_s, s/S).
@@ -63,9 +54,7 @@ def euler_integrate(field, z0, steps: int, record: bool = False):
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    z, single = _as_batch(z0)
-    if not np.isfinite(z).all():
-        raise ValueError("non-finite initial state")
+    z, _, single = as_field_input(z0)
     times = np.linspace(0.0, 1.0, steps + 1)
     states = np.empty((steps + 1, *z.shape)) if record else None
     if record:
@@ -85,8 +74,8 @@ def euler_integrate(field, z0, steps: int, record: bool = False):
 
 def one_step_sample(field, z0):
     """Single Euler step from t = 0: z0 + field(z0, 0)."""
-    z, single = _as_batch(z0)
-    out = z + field(z, np.zeros(z.shape[0]))
+    z, t, single = as_field_input(z0)
+    out = z + field(z, t)
     return out[0] if single else out
 
 

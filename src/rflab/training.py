@@ -93,13 +93,6 @@ class TrainTrace:
                    float(self.eta[k]), float(self.max_row_l1[k]))
 
 
-def empirical_loss(net: VelocityNet, data: CoupledBatch) -> float:
-    """(1/n) sum ||v_theta(x_t, t) - (x1 - x0)||^2."""
-    if len(data) == 0:
-        raise ValueError("empty data")
-    return net.loss(data)
-
-
 def estimate_kappa(net: VelocityNet, data: CoupledBatch, seed: int,
                    probes: int = 100, scale: float = 1e-3) -> float:
     """Curvature probe: max gradient-difference ratio over random directions.
@@ -144,7 +137,7 @@ def train(net: VelocityNet, data: CoupledBatch, cfg: TrainConfig) -> TrainTrace:
         pos += cfg.batch_size
         _, g = net.loss_and_grad(data.take(idx))
         eta = step_size(cfg, k)
-        net.set_theta(net.get_theta() - eta * g)
+        net.theta -= eta * g
         net.project_constraints()
         if k % cfg.record_every == 0 or k == cfg.steps - 1:
             full = net.loss(data)

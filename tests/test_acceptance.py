@@ -22,8 +22,7 @@ from rflab.distributions import (DistributionSpec, draw_coupled,
                                  pair_subgaussian_sigma, truncation_level)
 from rflab.linalg_rng import RngStream
 from rflab.metrics import w2_empirical
-from rflab.network import (NetArchitecture, VelocityNet, backward,
-                           finite_diff_grad)
+from rflab.network import NetArchitecture, VelocityNet, finite_diff_grad
 from rflab.oracles import (GaussianPairSpec, LowerBoundInstance,
                            conditional_mean_mc, posterior_weights,
                            tv_distance_mixtures, velocity_separation,
@@ -97,7 +96,7 @@ def test_c01_gradient_correctness():
             pi = DistributionSpec("gaussian", arch.dim,
                                   mean=np.zeros(arch.dim), std=1.0)
             data = draw_coupled(s.derive(1), pi, pi, 8)
-            g = backward(net, data)
+            g = net.loss_and_grad(data)[1]
             fd = finite_diff_grad(net, data)
             rel = float(np.linalg.norm(g - fd)
                         / max(float(np.linalg.norm(fd)), 1e-12))

@@ -9,8 +9,7 @@ from rflab.bounds import (BoundInputs, RademacherReport, TruncationReport,
                           dudley_local_rad, empirical_local_rademacher,
                           excess_risk_bound, full_report, log_covering,
                           psi_and_fixed_point, r_star_closed, sample_size,
-                          stat_bound, stat_bound_and_sample_size,
-                          truncation_bias_report, _min_valid_n)
+                          stat_bound, truncation_bias_report, _min_valid_n)
 from rflab.distributions import DistributionSpec, draw_coupled
 from rflab.linalg_rng import RngStream
 from rflab.network import NetArchitecture, VelocityNet
@@ -242,16 +241,6 @@ def test_sample_size_monotone_in_delta():
     loose = sample_size(_inputs(delta=0.2))
     tight = sample_size(_inputs(delta=0.01))
     assert tight > loose
-
-
-def test_stat_bound_and_sample_size_tuple():
-    inp = _inputs(n=10 ** 5)
-    s, n_req = stat_bound_and_sample_size(inp)
-    assert s == stat_bound(inp)
-    assert n_req == sample_size(inp)
-
-
-# -- inputs plumbing ----------------------------------------------------------------------
 
 
 def test_inputs_validation():

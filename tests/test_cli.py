@@ -345,7 +345,6 @@ def test_sweep_smoke_outputs(tmp_path):
     _, fheader, frows = _read_csv(out / "sweep_failures.csv")
     assert fheader == ["n", "trial", "seed", "error", "message"]
     assert frows == []
-    assert (out / "plot_sweep.py").exists()
 
 
 def test_sweep_rerun_and_jobs_agree(tmp_path):
@@ -389,6 +388,29 @@ def test_sweep_divergent_cells_go_to_failures_csv(tmp_path, monkeypatch):
     assert [(int(r[0]), int(r[1])) for r in frows] == [(64, 0), (64, 1)]
     assert all(r[3] == "DivergenceError" for r in frows)
     assert _read_json(out / "sweep_fit.json")["failures"] == 2
+
+
+def test_sweep_cells_honour_the_train_block(tmp_path, monkeypatch):
+    # the proxy and every cell train under the configured guard and
+    # curvature assumptions, not under TrainConfig defaults
+    seen = []
+    real_train = cli.train
+
+    def spy_train(net, data, cfg):
+        seen.append((cfg.n_samples,
+                     (cfg.divergence_factor, cfg.mu_hat, cfg.kappa_hat)))
+        return real_train(net, data, cfg)
+
+    monkeypatch.setattr(cli, "train", spy_train)
+    obj = json.loads(json.dumps(_SMALL_SWEEP))
+    obj["train"].update({"divergence_factor": 50.0, "mu_hat": 0.5,
+                         "kappa_hat": 0.01})
+    obj["sweep"].update({"grid": [16, 32, 64, 128, 512], "trials": 1})
+    cfg = _write_config(tmp_path, obj)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"),
+                 "sweep"]) == EXIT_OK
+    assert [n for n, _ in seen] == [512, 16, 32, 64, 128, 512]
+    assert all(fields == (50.0, 0.5, 0.01) for _, fields in seen)
 
 
 # -- bounds ------------------------------------------------------------------------

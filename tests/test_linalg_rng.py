@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from rflab.linalg_rng import (RngStream, assert_all_finite, gaussian_sample,
-                              l1_project_row, project_rows, splitmix64)
+from rflab.linalg_rng import (RngStream, assert_all_finite, l1_project_row,
+                              splitmix64)
 
 
 # -- splitmix64 -------------------------------------------------------------------
@@ -62,32 +63,6 @@ def test_stream_validates_seed():
         RngStream(-1)
     with pytest.raises(ValueError):
         RngStream(2 ** 64)
-
-
-# -- gaussian sampling --------------------------------------------------------------
-
-
-def test_gaussian_sample_moments():
-    rng = RngStream(5)
-    x = gaussian_sample(rng, mean=np.array([1.0, -2.0]), std=0.5, n=200_000)
-    assert x.shape == (200_000, 2)
-    assert np.allclose(x.mean(axis=0), [1.0, -2.0], atol=0.01)
-    assert np.allclose(x.std(axis=0), 0.5, atol=0.01)
-
-
-def test_gaussian_sample_zero_std_returns_mean():
-    rng = RngStream(5)
-    mean = np.array([3.0, 4.0])
-    x = gaussian_sample(rng, mean=mean, std=0.0, n=7)
-    assert x.shape == (7, 2)
-    assert (x == mean).all()
-    x[0, 0] = -1.0  # must be a copy, not a broadcast view
-    assert mean[0] == 3.0
-
-
-def test_gaussian_sample_rejects_negative_std():
-    with pytest.raises(ValueError):
-        gaussian_sample(RngStream(0), np.zeros(2), -0.1, n=3)
 
 
 # -- l1 projection ------------------------------------------------------------------
@@ -150,13 +125,34 @@ def test_projection_is_nearest_feasible_point(vals, radius, seed):
         assert np.linalg.norm(w - p) <= np.linalg.norm(w - q) + 1e-9
 
 
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 12)),
+              elements=st.floats(-10, 10)),
+       st.floats(0.01, 8.0))
+def test_matrix_projection_is_rowwise_bit_for_bit(mat, radius):
+    out = l1_project_row(mat, radius)
+    rows = np.stack([l1_project_row(row, radius) for row in mat])
+    assert out.shape == mat.shape
+    assert np.array_equal(out.view(np.uint64), rows.view(np.uint64))
+
+
 def test_project_rows_applies_rowwise():
-    m = np.array([[3.0, -1.0, 0.5], [0.1, 0.1, 0.1]])
-    out = project_rows(m, 2.0)
+    m = np.array([[3.0, -1.0, 0.5], [0.1, 0.1, 0.1], [-2.0, 0.0, 0.0]])
+    out = l1_project_row(m, 2.0)
     assert np.allclose(out[0], l1_project_row(m[0], 2.0))
-    assert np.allclose(out[1], m[1])
+    assert np.abs(out[0]).sum() == pytest.approx(2.0)
+    # rows inside the ball, boundary included, come back unchanged
+    assert (out[1:] == m[1:]).all()
+    assert not np.shares_memory(out, m)
+    bad = m.copy()
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        l1_project_row(bad, 2.0)
     with pytest.raises(ValueError):
         l1_project_row(np.array([1.0]), 0.0)
+    with pytest.raises(ValueError):
+        l1_project_row(np.zeros((2, 2, 2)), 1.0)
+    # |w| >> radius cancels the threshold test at every index; still feasible
+    assert np.abs(l1_project_row(np.array([1e20, 1.0]), 1.0)).sum() <= 1.0
 
 
 # -- finiteness guard ----------------------------------------------------------------

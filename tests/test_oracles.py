@@ -79,6 +79,10 @@ def test_vstar_field_and_shapes():
     single = field(x[1], 0.5)
     assert single.shape == (1,)
     assert np.allclose(single, out[1])
+    with pytest.raises(ValueError):
+        field(x[None], t)
+    with pytest.raises(ValueError):
+        field(x, np.array([0.2, 0.5, 1.2]))
 
 
 def test_spec_validation():

@@ -85,6 +85,8 @@ def test_euler_rejects_bad_inputs():
         euler_integrate(lambda z, t: z, np.array([[np.nan]]), 3)
     with pytest.raises(ValueError):
         euler_integrate(lambda z, t: z, np.zeros((2, 2, 2)), 3)
+    with pytest.raises(ValueError):
+        one_step_sample(lambda z, t: z, np.zeros((2, 2, 2)))
 
 
 def test_euler_raises_on_divergence():

@@ -6,7 +6,7 @@ from rflab.linalg_rng import RngStream
 from rflab.network import NetArchitecture, VelocityNet
 from rflab.training import (DivergenceError, QuadraticProblem, TrainConfig,
                             TrainTrace, closed_envelope_constant,
-                            empirical_loss, estimate_kappa, pl_diagnostic,
+                            estimate_kappa, pl_diagnostic,
                             recursion_envelope, sgd_rate_check, step_size,
                             train)
 
@@ -104,6 +104,21 @@ def test_train_keeps_iterates_feasible():
     assert net.max_row_l1() <= 1.5 + 1e-9
 
 
+def test_train_updates_the_parameter_buffer_in_place():
+    # the constraint binds at this step size, so both the SGD step and the
+    # projection write through the layer views
+    data = _data(64, seed=2)
+    cfg = TrainConfig(n_samples=64, batch_size=8, steps=60, schedule="constant",
+                      eta=0.5, seed=1)
+    net = VelocityNet.init(_arch(V=1.5), RngStream(4))
+    theta, before = net.theta, net.get_theta()
+    train(net, data, cfg)
+    assert net.theta is theta
+    assert all(np.shares_memory(w, net.theta) for w in net.weights)
+    assert (np.concatenate([w.ravel() for w in net.weights]) == net.theta).all()
+    assert not (net.theta == before).all()
+
+
 def test_train_rejects_sample_count_mismatch():
     data = _data(32)
     cfg = TrainConfig(n_samples=64, batch_size=8, steps=5)
@@ -131,12 +146,6 @@ def test_divergence_error():
     net = VelocityNet.init(_arch(), RngStream(3))
     with pytest.raises(DivergenceError, match="exceeded"):
         train(net, data, cfg)
-
-
-def test_empirical_loss_matches_net_loss():
-    data = _data(16, seed=9)
-    net = VelocityNet.init(_arch(), RngStream(9))
-    assert empirical_loss(net, data) == pytest.approx(net.loss(data), rel=1e-15)
 
 
 def test_estimate_kappa_positive_and_deterministic():
