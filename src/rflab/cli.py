@@ -348,38 +348,62 @@ class _SweepJob:
     gauss_pair: GaussianPairSpec | None
 
 
-def _run_cell(job: _SweepJob, cell):
-    n, trial = cell
+def _run_group(job: _SweepJob, n: int) -> list:
+    """All trials of one n: the cells train in lockstep as one stack, then
+    each is scored on its own. Every cell draws its data, init, shuffles and
+    evaluation points from its own streams, so results do not depend on how
+    cells are grouped. A cell's runtime_ms is its own evaluation time plus
+    its share (1/trials) of the group's data, init and training time."""
     exp, sw = job.exp, job.exp.sweep
-    cell_seed = _cell_seed(exp.seed, n, trial)
-    s = RngStream(exp.seed).derive(n).derive(trial)
+    trials = range(sw.trials)
+    seeds = tuple(_cell_seed(exp.seed, n, trial) for trial in trials)
+    streams = [RngStream(exp.seed).derive(n).derive(trial) for trial in trials]
     t0 = time.perf_counter()
+    data = CoupledBatch.stack([draw_coupled(s.derive(1), exp.pi0, exp.pi1, n)
+                               for s in streams])
+    net = VelocityNet.stack([VelocityNet.init(exp.arch, s.derive(2))
+                             for s in streams])
+    batch = min(exp.train_block["batch_size"], n)
+    steps = _sweep_steps(sw.epochs, n, batch, sw.steps_exponent)
+    cfg = exp.train_config(n_samples=n, batch_size=batch, steps=steps,
+                           seed=seeds, record_every=max(1, steps))
     try:
-        data = draw_coupled(s.derive(1), exp.pi0, exp.pi1, n)
-        net = VelocityNet.init(exp.arch, s.derive(2))
-        batch = min(exp.train_block["batch_size"], n)
-        steps = _sweep_steps(sw.epochs, n, batch, sw.steps_exponent)
-        cfg = exp.train_config(n_samples=n, batch_size=batch, steps=steps,
-                               seed=cell_seed, record_every=max(1, steps))
-        train(net, data, cfg)
-
-        excess = excess_risk(net, job.proxy, job.holdout)
-        if job.gauss_pair is not None:
-            vel, _ = velocity_l2_error(net, job.gauss_pair, sw.eval_samples,
-                                       s.derive(3))
-        else:
-            vel = float("nan")
-        m = sw.eval_samples
-        z0 = exp.pi0.sample(s.derive(4), m)
-        z1, _ = euler_integrate(net, z0, sw.euler_steps)
-        ref = exp.pi1.sample(s.derive(5), m)
-        refb = exp.pi1.sample(s.derive(6), m)
-        w2 = w2_empirical(z1, ref)
-        w2_base = w2_empirical(refb, ref)
-        ms = 1000.0 * (time.perf_counter() - t0)
-        return ("ok", [n, trial, cell_seed, excess, vel, w2, w2_base, ms])
+        outcomes = train(net, data, cfg)
     except (DivergenceError, FloatingPointError) as e:
-        return ("fail", [n, trial, cell_seed, type(e).__name__, str(e)])
+        outcomes = [e] * sw.trials
+    train_ms = 1000.0 * (time.perf_counter() - t0) / sw.trials
+
+    results = []
+    for trial, s, cell_seed, outcome in zip(trials, streams, seeds, outcomes):
+        t1 = time.perf_counter()
+        if not isinstance(outcome, Exception):
+            try:
+                scores = _score_cell(job, net.member(trial), s)
+                ms = train_ms + 1000.0 * (time.perf_counter() - t1)
+                results.append(("ok", [n, trial, cell_seed, *scores, ms]))
+                continue
+            except (DivergenceError, FloatingPointError) as e:
+                outcome = e
+        results.append(("fail", [n, trial, cell_seed, type(outcome).__name__,
+                                 str(outcome)]))
+    return results
+
+
+def _score_cell(job: _SweepJob, net: VelocityNet, s: RngStream) -> list:
+    """excess risk, velocity L2 error, W2 of the Euler samples and its baseline."""
+    exp, sw = job.exp, job.exp.sweep
+    excess = excess_risk(net, job.proxy, job.holdout)
+    if job.gauss_pair is not None:
+        vel, _ = velocity_l2_error(net, job.gauss_pair, sw.eval_samples,
+                                   s.derive(3))
+    else:
+        vel = float("nan")
+    m = sw.eval_samples
+    z0 = exp.pi0.sample(s.derive(4), m)
+    z1, _ = euler_integrate(net, z0, sw.euler_steps)
+    ref = exp.pi1.sample(s.derive(5), m)
+    refb = exp.pi1.sample(s.derive(6), m)
+    return [excess, vel, w2_empirical(z1, ref), w2_empirical(refb, ref)]
 
 
 def _train_proxy(exp: Experiment) -> VelocityNet:
@@ -411,13 +435,14 @@ def cmd_sweep(exp: Experiment, args) -> int:
         gauss_pair = GaussianPairSpec(exp.pi0.mean_vector(), exp.pi1.mean_vector(),
                                       exp.pi0.std, exp.pi1.std)
 
-    run = functools.partial(_run_cell, _SweepJob(exp, proxy, holdout, gauss_pair))
-    cells = [(n, t) for n in sw.grid for t in range(sw.trials)]
+    # the trials of one n train in lockstep; --jobs spreads the n values
+    run = functools.partial(_run_group, _SweepJob(exp, proxy, holdout, gauss_pair))
     if args.jobs > 1:
         with multiprocessing.Pool(args.jobs) as pool:
-            results = pool.map(run, cells)
+            groups = pool.map(run, sw.grid)
     else:
-        results = list(map(run, cells))
+        groups = list(map(run, sw.grid))
+    results = [cell for group in groups for cell in group]
 
     rows = sorted((r for kind, r in results if kind == "ok"),
                   key=lambda r: (r[0], r[1]))

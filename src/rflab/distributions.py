@@ -166,6 +166,8 @@ class CoupledBatch:
     """Batch of coupled samples: arrays indexed by sample.
 
     Invariants: xt = (1-t) x0 + t x1 and disp = x1 - x0, row by row.
+    A stacked batch (`CoupledBatch.stack`) holds K batches of n rows each:
+    x0 is (K, n, d) and t is (K, n); its length is still n.
     """
 
     x0: np.ndarray
@@ -175,15 +177,27 @@ class CoupledBatch:
     disp: np.ndarray
 
     def __len__(self) -> int:
-        return self.x0.shape[0]
+        return self.x0.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.x0.shape[1]
+        return self.x0.shape[-1]
 
     def take(self, idx) -> "CoupledBatch":
-        return CoupledBatch(self.x0[idx], self.x1[idx], self.t[idx],
-                            self.xt[idx], self.disp[idx])
+        """Rows idx; a stacked batch takes rows idx[i] from batch i."""
+        idx = np.asarray(idx)
+        lead = self.t.ndim - 1
+        if lead:
+            # row numbers into the K batches laid end to end
+            idx = idx + self.t.shape[-1] * np.arange(idx.shape[0])[:, None]
+        return CoupledBatch(*(a.reshape((-1,) + a.shape[lead + 1:]).take(idx, axis=0)
+                              for a in (self.x0, self.x1, self.t, self.xt, self.disp)))
+
+    @classmethod
+    def stack(cls, batches) -> "CoupledBatch":
+        """Batches of equal length as one stacked batch."""
+        return cls(*(np.stack([getattr(b, f.name) for b in batches])
+                     for f in dataclasses.fields(cls)))
 
     @classmethod
     def from_pairs(cls, x0: np.ndarray, x1: np.ndarray, t: np.ndarray) -> "CoupledBatch":

@@ -153,13 +153,16 @@ def loss_lipschitz(out_bound: float, disp_bound: float) -> float:
 
 
 def _layer_views(arch: NetArchitecture, flat: np.ndarray) -> list[np.ndarray]:
-    """Row-major (out_k, in_k + 1) views, layer by layer, into a flat buffer."""
+    """Row-major (..., out_k, in_k + 1) views, layer by layer, into a buffer
+    of shape (..., P): one net, or a stack of nets along the leading axis."""
     dims = arch.layer_dims
+    lead = flat.shape[:-1]
     views, pos = [], 0
     for k in range(len(dims) - 1):
         shape = (dims[k + 1], dims[k] + 1)
-        views.append(flat[pos:pos + shape[0] * shape[1]].reshape(shape))
-        pos += shape[0] * shape[1]
+        size = shape[0] * shape[1]
+        views.append(flat[..., pos:pos + size].reshape(lead + shape))
+        pos += size
     return views
 
 
@@ -169,19 +172,29 @@ class VelocityNet:
     theta is the one parameter buffer; weights[k] is a view into it of shape
     (out_k, in_k + 1), and column in_k is the bias coordinate, whose input
     channel is the constant act_bound.
+
+    A stack of K nets of one architecture (`VelocityNet.stack`) has theta of
+    shape (K, P) and weights[k] of shape (K, out_k, in_k + 1). The methods
+    below work over the trailing axes, so a stack runs the same lines as one
+    net; each member goes through the same floating-point operations as it
+    would alone, so its results match `member(i)` bit for bit.
     """
 
     def __init__(self, arch: NetArchitecture, weights: list[np.ndarray]):
         dims = arch.layer_dims
         if len(weights) != len(dims) - 1:
             raise ValueError("wrong number of weight matrices")
+        weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        lead = weights[0].shape[:-2]
+        if len(lead) > 1:
+            raise ValueError("a stack of nets has one leading axis")
         for k, w in enumerate(weights):
-            if w.shape != (dims[k + 1], dims[k] + 1):
+            if w.shape != lead + (dims[k + 1], dims[k] + 1):
                 raise ValueError(f"layer {k} has shape {w.shape}, "
-                                 f"expected {(dims[k + 1], dims[k] + 1)}")
+                                 f"expected {lead + (dims[k + 1], dims[k] + 1)}")
         self.arch = arch
-        self.theta = np.concatenate(
-            [np.asarray(w, dtype=np.float64).ravel() for w in weights])
+        self.theta = np.concatenate([w.reshape(lead + (-1,)) for w in weights],
+                                    axis=-1)
         self.weights = _layer_views(arch, self.theta)
         self._act = arch.act()
 
@@ -206,6 +219,22 @@ class VelocityNet:
         return cls(arch, [np.zeros((dims[k + 1], dims[k] + 1))
                           for k in range(len(dims) - 1)])
 
+    @classmethod
+    def stack(cls, nets) -> "VelocityNet":
+        """Single nets of one architecture as one stack (their parameters are copied)."""
+        nets = list(nets)
+        if not nets or any(net.theta.ndim != 1 or net.arch != nets[0].arch
+                           for net in nets):
+            raise ValueError("stack needs single nets of one architecture")
+        return cls(nets[0].arch,
+                   [np.stack(ws) for ws in zip(*(net.weights for net in nets))])
+
+    def member(self, i: int) -> "VelocityNet":
+        """Member i of a stack as a single net (a copy)."""
+        if self.theta.ndim != 2:
+            raise ValueError("member() needs a stack of nets")
+        return VelocityNet(self.arch, [w[i] for w in self.weights])
+
     def copy(self) -> "VelocityNet":
         return VelocityNet(self.arch, self.weights)
 
@@ -220,95 +249,112 @@ class VelocityNet:
 
     def set_theta(self, theta: np.ndarray) -> None:
         theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self.param_count,):
+        if theta.shape != self.theta.shape:
             raise ValueError("theta has the wrong length")
         self.theta[:] = theta
 
     def project_constraints(self) -> "VelocityNet":
-        """Project every augmented row onto the l1 ball of radius V, in place."""
+        """Project every augmented row onto the l1 ball of radius V, in place.
+
+        A stack projects the rows of all its members in one call per layer;
+        rows inside the ball come back unchanged, so every member gets its
+        own projection."""
         v = self.arch.l1_budget
         for w in self.weights:
-            if np.abs(w).sum(axis=1).max() <= v:
+            if np.abs(w).sum(axis=-1).max() <= v:
                 continue
-            w[...] = l1_project_row(w, v)
+            w[...] = l1_project_row(w.reshape(-1, w.shape[-1]), v).reshape(w.shape)
         return self
 
     def max_row_l1(self) -> float:
-        return max(float(np.abs(w).sum(axis=1).max()) for w in self.weights)
+        """Largest augmented-row l1 norm, over every member of a stack."""
+        return max(float(np.abs(w).sum(axis=-1).max()) for w in self.weights)
 
     # -- forward pass and gradient --------------------------------------------
 
     def _aug(self, a: np.ndarray) -> np.ndarray:
-        col = np.full((a.shape[0], 1), self.arch.act_bound)
-        return np.concatenate([a, col], axis=1)
+        out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))
+        out[..., :-1] = a
+        out[..., -1] = self.arch.act_bound
+        return out
 
     def _forward(self, x: np.ndarray, t: np.ndarray, keep: bool):
-        a = np.concatenate([x, t[:, None]], axis=1)
-        acts = [a]
-        pres = []
-        for k, w in enumerate(self.weights[:-1]):
-            z = self._aug(a) @ w.T
+        """Output; with keep, also the augmented input of every layer and the
+        pre-activation of every activated layer, for the gradient."""
+        a = np.concatenate([x, t[..., None]], axis=-1)
+        augs, pres = [], []
+        for w in self.weights[:-1]:
+            aug = self._aug(a)
+            z = aug @ w.swapaxes(-1, -2)
             a = self._act.value(z)
             if keep:
+                augs.append(aug)
                 pres.append(z)
-                acts.append(a)
-        out = self._aug(a) @ self.weights[-1].T
-        return (out, acts, pres) if keep else (out, None, None)
+        aug = self._aug(a)
+        out = aug @ self.weights[-1].swapaxes(-1, -2)
+        if keep:
+            augs.append(aug)
+        return out, augs, pres
 
     def __call__(self, x, t):
-        """v_theta(x, t). x: (d,) or (n, d); t: scalar in [0,1] or (n,)."""
+        """v_theta(x, t). x: (d,) or (n, d); t: scalar in [0,1] or (n,).
+        A stack evaluates every member on the same points: (K, n, d)."""
         xb, tb, single = as_field_input(x, t)
         out, _, _ = self._forward(xb, tb, keep=False)
-        return out[0] if single else out
+        return out[..., 0, :] if single else out
 
-    def loss(self, batch: CoupledBatch) -> float:
-        """Batch-mean squared residual (1/n) sum ||v(xt,t) - disp||^2."""
+    def loss(self, batch: CoupledBatch):
+        """Batch-mean squared residual (1/n) sum ||v(xt,t) - disp||^2: a float,
+        or a (K,) array for a stack or a stacked batch."""
         out, _, _ = self._forward(batch.xt, batch.t, keep=False)
         res = out - batch.disp
-        return float(np.mean(np.sum(res * res, axis=1)))
+        loss = np.mean(np.sum(res * res, axis=-1), axis=-1)
+        return loss if loss.ndim else float(loss)
 
     def loss_and_grad(self, batch: CoupledBatch,
                       sample_weights: np.ndarray | None = None):
         """Loss and flat gradient of (1/n) sum_i w_i ||v(xt_i,t_i) - disp_i||^2.
 
         sample_weights defaults to all-ones (the plain batch mean); signed
-        weights are allowed (the Rademacher estimator uses +-1).
+        weights are allowed (the Rademacher estimator uses +-1). A stack on a
+        stacked batch gives (K,) losses and (K, P) gradients.
         """
         n = len(batch)
         if n == 0:
             raise ValueError("empty batch")
-        out, acts, pres = self._forward(batch.xt, batch.t, keep=True)
+        out, augs, pres = self._forward(batch.xt, batch.t, keep=True)
         res = out - batch.disp
         if sample_weights is None:
             wts = np.full(n, 1.0 / n)
         else:
             wts = np.asarray(sample_weights, dtype=np.float64) / n
-        loss = float(np.dot((res * res).sum(axis=1), wts))
-        grad = np.empty(self.param_count)
+        # a (1, n) @ (n, 1) product per member is the same dot product as
+        # np.dot on one net's vectors
+        loss = ((res * res).sum(axis=-1)[..., None, :] @ wts[:, None])[..., 0, 0]
+        loss = loss if loss.ndim else float(loss)
+        grad = np.empty(res.shape[:-2] + (self.param_count,))
         grads = _layer_views(self.arch, grad)
         g = 2.0 * res * wts[:, None]
         for k in range(len(self.weights) - 1, -1, -1):
-            np.matmul(g.T, self._aug(acts[k]), out=grads[k])
+            np.matmul(g.swapaxes(-1, -2), augs[k], out=grads[k])
             if k > 0:
-                da = g @ self.weights[k][:, :-1]
-                g = da * self._act.deriv(pres[k - 1], acts[k])
+                da = g @ self.weights[k][..., :-1]
+                g = da * self._act.deriv(pres[k - 1], augs[k][..., :-1])
         return loss, grad
 
 
 def finite_diff_grad(net: VelocityNet, batch: CoupledBatch, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of the batch-mean loss; the test oracle."""
-    theta = net.get_theta()
-    probe = net.copy()
-    g = np.empty_like(theta)
-    for j in range(theta.size):
-        tp = theta.copy(); tp[j] += h
-        probe.set_theta(tp)
-        lp = probe.loss(batch)
-        tm = theta.copy(); tm[j] -= h
-        probe.set_theta(tm)
-        lm = probe.loss(batch)
-        g[j] = (lp - lm) / (2.0 * h)
-    return g
+    """Central-difference gradient of the batch-mean loss; the test oracle.
+
+    All 2P probes are one stack evaluated in one loss call: member j is
+    theta + h e_j and member P + j is theta - h e_j."""
+    p = net.param_count
+    probe = VelocityNet.stack([net] * (2 * p))
+    j = np.arange(p)
+    probe.theta[j, j] += h
+    probe.theta[p + j, j] -= h
+    losses = probe.loss(batch)
+    return (losses[:p] - losses[p:]) / (2.0 * h)
 
 
 # -- checkpoint format: one JSON header line + little-endian float64 block ----

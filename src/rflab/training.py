@@ -38,7 +38,7 @@ class TrainConfig:
     gamma: float = 40.0
     mu_hat: float | None = None        # assumed PL constant; validates c > 1/mu_hat
     kappa_hat: float | None = None     # assumed smoothness; validates gamma >= kappa_hat*c
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0    # a tuple of shuffle seeds for a stack of nets
     divergence_factor: float = 1e3
     record_every: int = 1              # cadence of full-data loss records
 
@@ -114,51 +114,87 @@ def estimate_kappa(net: VelocityNet, data: CoupledBatch, seed: int,
     return best
 
 
-def train(net: VelocityNet, data: CoupledBatch, cfg: TrainConfig) -> TrainTrace:
+def train(net: VelocityNet, data: CoupledBatch, cfg: TrainConfig):
     """Projected SGD in place; returns the trace. Raises DivergenceError when the
-    full-data loss exceeds divergence_factor x (initial loss, floored at 1e-12)."""
+    full-data loss at a record step exceeds divergence_factor x (initial loss,
+    floored at 1e-12), and FloatingPointError when an update leaves a
+    non-finite parameter.
+
+    A stack of K nets trains in lockstep on a stacked batch (K batches of the
+    same n), with cfg.seed a tuple of K shuffle seeds. Each member takes the
+    same steps, in the same floating-point order, as it would alone. The
+    result is a list with, per member, its TrainTrace or the error a training
+    run of that member alone would raise; a failed member stays at zero
+    parameters while the others carry on.
+    """
     n = len(data)
     if n == 0:
         raise ValueError("empty data")
     if cfg.n_samples and cfg.n_samples != n:
         raise ValueError(f"cfg.n_samples = {cfg.n_samples} but data has {n} rows")
-    shuffle = RngStream(cfg.seed, _SHUFFLE_TAG)
-    loss0 = net.loss(data)
-    ceiling = cfg.divergence_factor * max(loss0, 1e-12)
+    lead = net.theta.shape[:-1]
+    seeds = cfg.seed if lead else (cfg.seed,)
+    if data.t.shape[:-1] != lead or not isinstance(seeds, tuple) \
+            or len(seeds) != (lead[0] if lead else 1):
+        raise ValueError("a stack of K nets needs a stacked batch of K and K seeds")
+    K = len(seeds)
+    shuffles = [RngStream(seed, _SHUFFLE_TAG) for seed in seeds]
+    loss0 = np.reshape(net.loss(data), -1)
+    ceiling = cfg.divergence_factor * np.maximum(loss0, 1e-12)
+    errors: dict[int, Exception] = {}
+
+    def fail(i: int, err: Exception) -> None:
+        if not lead:
+            raise err
+        errors[i] = err
+        net.theta[i] = 0.0
+
+    def permutations():
+        return np.stack([s.gen.permutation(n) for s in shuffles]).reshape(lead + (n,))
 
     rec_step, rec_loss, rec_gnorm, rec_eta, rec_row = [], [], [], [], []
-    order = shuffle.gen.permutation(n)
+    order = permutations()
     pos = 0
     for k in range(cfg.steps):
         if pos + cfg.batch_size > n:
-            order = shuffle.gen.permutation(n)
+            order = permutations()
             pos = 0
-        idx = order[pos:pos + cfg.batch_size]
+        idx = order[..., pos:pos + cfg.batch_size]
         pos += cfg.batch_size
         _, g = net.loss_and_grad(data.take(idx))
+        if errors:
+            g[list(errors)] = 0.0
         eta = step_size(cfg, k)
         net.theta -= eta * g
+        finite = np.isfinite(net.theta).all(axis=-1)
+        if not finite.all():
+            for i in np.flatnonzero(~finite):
+                fail(int(i), FloatingPointError(
+                    f"non-finite parameters after the update at step {k}"))
         net.project_constraints()
         if k % cfg.record_every == 0 or k == cfg.steps - 1:
-            full = net.loss(data)
+            full = np.reshape(net.loss(data), -1)
+            members = [net.member(i) for i in range(K)] if lead else [net]
             rec_step.append(k)
             rec_loss.append(full)
-            rec_gnorm.append(float(np.linalg.norm(g)))
+            rec_gnorm.append([float(np.linalg.norm(gi)) for gi in g.reshape(K, -1)])
             rec_eta.append(eta)
-            rec_row.append(net.max_row_l1())
-            if not math.isfinite(full) or full > ceiling:
-                raise DivergenceError(
-                    f"loss {full:.3e} exceeded {cfg.divergence_factor:.0e} x initial "
-                    f"{loss0:.3e} at step {k}")
-    return TrainTrace(
+            rec_row.append([m.max_row_l1() for m in members])
+            for i in range(K):
+                if i not in errors and (not math.isfinite(full[i]) or full[i] > ceiling[i]):
+                    fail(i, DivergenceError(
+                        f"loss {full[i]:.3e} exceeded {cfg.divergence_factor:.0e} x "
+                        f"initial {loss0[i]:.3e} at step {k}"))
+    traces = [errors[i] if i in errors else TrainTrace(
         step=np.array(rec_step, dtype=np.int64),
-        loss=np.array(rec_loss),
-        grad_norm=np.array(rec_gnorm),
+        loss=np.array([float(v[i]) for v in rec_loss]),
+        grad_norm=np.array([v[i] for v in rec_gnorm]),
         eta=np.array(rec_eta),
-        max_row_l1=np.array(rec_row),
-        initial_loss=loss0,
-        final_loss=rec_loss[-1],
-    )
+        max_row_l1=np.array([v[i] for v in rec_row]),
+        initial_loss=float(loss0[i]),
+        final_loss=float(rec_loss[-1][i]),
+    ) for i in range(K)]
+    return traces if lead else traces[0]
 
 
 @dataclasses.dataclass

@@ -390,6 +390,34 @@ def test_sweep_divergent_cells_go_to_failures_csv(tmp_path, monkeypatch):
     assert _read_json(out / "sweep_fit.json")["failures"] == 2
 
 
+def test_sweep_records_a_non_finite_cell_and_carries_on(tmp_path, monkeypatch):
+    cfg = _write_config(tmp_path, _SMALL_SWEEP)
+    ref = tmp_path / "ref"
+    assert main(["--config", cfg, "--out", str(ref), "sweep"]) == EXIT_OK
+    real_draw = cli.draw_coupled
+    cells = []
+
+    def poisoned_draw(rng, pi0, pi1, n):
+        batch = real_draw(rng, pi0, pi1, n)
+        if n == 64:
+            cells.append(n)
+            if len(cells) == 2:   # trial 1: the first update overflows
+                batch.disp[:] = 1e308
+        return batch
+
+    monkeypatch.setattr(cli, "draw_coupled", poisoned_draw)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["--config", cfg, "--out", str(out), "sweep"]) == EXIT_OK
+    _, _, frows = _read_csv(out / "sweep_failures.csv")
+    assert frows == [["64", "1", frows[0][2], "FloatingPointError",
+                      "non-finite parameters after the update at step 0"]]
+    # every other cell, trial 0 of the same n included, is unchanged
+    meta, header, rows = _strip_runtime(ref / "sweep.csv")
+    assert _strip_runtime(out / "sweep.csv") \
+        == (meta, header, [r for r in rows if r[:2] != ["64", "1"]])
+
+
 def test_sweep_cells_honour_the_train_block(tmp_path, monkeypatch):
     # the proxy and every cell train under the configured guard and
     # curvature assumptions, not under TrainConfig defaults

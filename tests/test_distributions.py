@@ -145,6 +145,23 @@ def test_coupled_batch_take():
     assert (sub.xt[2] == batch.xt[5]).all()
 
 
+def test_stacked_batch_length_and_take():
+    batches = [draw_coupled(RngStream(7, i), _g([0.0, 1.0], 1.0),
+                            _g([2.0, 0.0], 1.0), 10) for i in range(3)]
+    stacked = CoupledBatch.stack(batches)
+    assert stacked.x0.shape == (3, 10, 2) and stacked.t.shape == (3, 10)
+    assert len(stacked) == 10 and stacked.dim == 2
+    idx = np.array([[0, 3], [9, 9], [4, 1]])
+    sub = stacked.take(idx)
+    assert len(sub) == 2
+    for i in range(3):
+        solo = batches[i].take(idx[i])
+        for name in ("x0", "x1", "t", "xt", "disp"):
+            assert (getattr(sub, name)[i] == getattr(solo, name)).all()
+    with pytest.raises(ValueError):
+        CoupledBatch.stack([batches[0], batches[1].take(np.arange(5))])
+
+
 def test_from_pairs_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         CoupledBatch.from_pairs(np.zeros((3, 1)), np.zeros((4, 1)),

@@ -135,6 +135,59 @@ def test_projection_restores_feasibility_and_is_idempotent():
         net.project_constraints()
 
 
+@pytest.mark.parametrize("binding", [False, True])
+def test_stacked_projection_is_the_member_projection(binding):
+    arch = _arch(dim=2, hidden=(4, 3), V=1.5)
+    gen = np.random.default_rng(8)
+    nets = []
+    for i in range(3):
+        net = VelocityNet.zeros(arch)
+        # member 1 has rows far outside the ball when the constraint binds
+        scale = 3.0 if binding and i == 1 else 0.1
+        net.set_theta(scale * gen.normal(size=net.param_count))
+        nets.append(net)
+    stack = VelocityNet.stack(nets)
+    before = stack.get_theta()
+    stack.project_constraints()
+    assert (stack.theta != before).any() == binding
+    for i, net in enumerate(nets):
+        assert (stack.member(i).theta == net.project_constraints().theta).all()
+    assert stack.max_row_l1() <= 1.5 + 1e-12
+
+
+def test_stack_layout_and_members():
+    arch = _arch(dim=2, hidden=(4, 3), V=3.0)
+    nets = [VelocityNet.init(arch, RngStream(30, i)) for i in range(3)]
+    stack = VelocityNet.stack(nets)
+    assert stack.theta.shape == (3, arch.param_count)
+    assert [w.shape for w in stack.weights] == [(3, 4, 4), (3, 3, 5), (3, 2, 4)]
+    assert all(np.shares_memory(w, stack.theta) for w in stack.weights)
+    assert not any(np.shares_memory(stack.theta, n.theta) for n in nets)
+    for i, net in enumerate(nets):
+        member = stack.member(i)
+        assert member.theta.shape == (arch.param_count,)
+        assert (member.theta == net.theta).all()
+        assert not np.shares_memory(member.theta, stack.theta)
+    # the same points through every member at once
+    x = np.array([[0.3, -0.7], [1.0, 2.0]])
+    t = np.array([0.1, 0.8])
+    out = stack(x, t)
+    assert out.shape == (3, 2, 2)
+    assert all((out[i] == nets[i](x, t)).all() for i in range(3))
+    assert all((stack(x[0], t[0])[i] == nets[i](x[0], t[0])).all() for i in range(3))
+    back = pickle.loads(pickle.dumps(stack))
+    assert (back.theta == stack.theta).all()
+    assert all(np.shares_memory(w, back.theta) for w in back.weights)
+    with pytest.raises(ValueError):
+        VelocityNet.stack([nets[0], VelocityNet.zeros(_arch(dim=2, hidden=(4,)))])
+    with pytest.raises(ValueError):
+        VelocityNet.stack([stack])
+    with pytest.raises(ValueError):
+        VelocityNet.stack([])
+    with pytest.raises(ValueError):
+        nets[0].member(0)
+
+
 @settings(max_examples=40)
 @given(st.integers(0, 2 ** 32 - 1), st.floats(0.5, 4.0))
 def test_output_bound_is_exact_after_projection(seed, scale):
@@ -256,6 +309,29 @@ def test_gradient_matches_finite_diff():
         fd = finite_diff_grad(net, batch)
         denom = max(1.0, float(np.linalg.norm(fd)))
         assert np.linalg.norm(grad - fd) / denom < 1e-6
+        # the stacked probes are the one-at-a-time central differences
+        for j in (0, net.param_count - 1):
+            probe = net.copy()
+            probe.theta[j] += 1e-5
+            lp = probe.loss(batch)
+            probe.theta[j] = net.theta[j] - 1e-5
+            assert fd[j] == (lp - probe.loss(batch)) / 2e-5
+        # a stack of K: every member's loss and gradient are its solo ones,
+        # bit for bit, and pass the same gradient check
+        for K in (1, 3):
+            nets = [VelocityNet.init(arch, RngStream(11, i)) for i in range(K)]
+            batches = [_batch(arch.dim, 8, seed=12 + i) for i in range(K)]
+            stack = VelocityNet.stack(nets)
+            stacked = CoupledBatch.stack(batches)
+            losses, grads = stack.loss_and_grad(stacked)
+            assert losses.shape == (K,) and grads.shape == (K, arch.param_count)
+            assert (stack.loss(stacked) == [n.loss(b) for n, b in zip(nets, batches)]).all()
+            for i in range(K):
+                solo_loss, solo_grad = nets[i].loss_and_grad(batches[i])
+                assert losses[i] == solo_loss and (grads[i] == solo_grad).all()
+                fd = finite_diff_grad(stack.member(i), batches[i])
+                denom = max(1.0, float(np.linalg.norm(fd)))
+                assert np.linalg.norm(grads[i] - fd) / denom < 1e-6
 
 
 def test_sample_weights_semantics():

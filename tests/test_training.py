@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from rflab.distributions import DistributionSpec, draw_coupled
+from rflab.distributions import CoupledBatch, DistributionSpec, draw_coupled
 from rflab.linalg_rng import RngStream
 from rflab.network import NetArchitecture, VelocityNet
 from rflab.training import (DivergenceError, QuadraticProblem, TrainConfig,
@@ -117,6 +119,76 @@ def test_train_updates_the_parameter_buffer_in_place():
     assert all(np.shares_memory(w, net.theta) for w in net.weights)
     assert (np.concatenate([w.ravel() for w in net.weights]) == net.theta).all()
     assert not (net.theta == before).all()
+    # a stack keeps its buffer and views through lockstep training too
+    stack = VelocityNet.stack([VelocityNet.init(_arch(V=1.5), RngStream(4, i))
+                               for i in range(3)])
+    theta = stack.theta
+    train(stack, CoupledBatch.stack([_data(64, seed=i) for i in range(3)]),
+          dataclasses.replace(cfg, seed=(1, 2, 3)))
+    assert stack.theta is theta
+    assert all(np.shares_memory(w, stack.theta) for w in stack.weights)
+    assert (np.concatenate([w.reshape(3, -1) for w in stack.weights], axis=1)
+            == stack.theta).all()
+
+
+_LOCKSTEP = {
+    # plain SGD under the default diminishing schedule
+    "plain": ({}, 4.0, 1.0),
+    # the l1 constraint binds on most steps
+    "binding": ({"schedule": "constant", "eta": 0.5}, 1.5, 1.0),
+    # member 2's loss is infinite at the first record step
+    "diverges": ({}, 4.0, 1e300),
+    # member 2's first update overflows
+    "overflow": ({"schedule": "constant", "eta": 1e10}, 4.0, 1e300),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(_LOCKSTEP))
+def test_lockstep_train_matches_solo_runs(scenario):
+    overrides, V, scale = _LOCKSTEP[scenario]
+    datas = [_data(64, seed=20 + i) for i in range(4)]
+    datas[2].disp[:] *= scale
+    nets = [VelocityNet.init(_arch(V), RngStream(5, i)) for i in range(4)]
+    seeds = (7, 8, 9, 10)
+    cfg = TrainConfig(n_samples=64, batch_size=16, steps=40, record_every=7,
+                      **overrides)
+    stack = VelocityNet.stack(nets)
+    with np.errstate(all="ignore"):
+        solo = []
+        for net, data, seed in zip(nets, datas, seeds):
+            try:
+                solo.append(train(net, data, dataclasses.replace(cfg, seed=seed)))
+            except (DivergenceError, FloatingPointError) as e:
+                solo.append(e)
+        out = train(stack, CoupledBatch.stack(datas),
+                    dataclasses.replace(cfg, seed=seeds))
+    failed = {"diverges": DivergenceError, "overflow": FloatingPointError}
+    assert len(out) == 4
+    for i in range(4):
+        if i == 2 and scenario in failed:
+            assert type(solo[i]) is type(out[i]) is failed[scenario]
+            assert str(out[i]) == str(solo[i])
+            assert "at step 0" in str(out[i])
+            continue
+        assert (stack.member(i).theta == nets[i].theta).all()
+        for name in ("step", "loss", "grad_norm", "eta", "max_row_l1"):
+            assert (getattr(out[i], name) == getattr(solo[i], name)).all(), name
+        assert out[i].initial_loss == solo[i].initial_loss
+        assert out[i].final_loss == solo[i].final_loss
+    if scenario == "binding":
+        assert all(tr.max_row_l1[-1] == pytest.approx(1.5) for tr in out)
+
+
+def test_train_rejects_a_mismatched_stack():
+    stack = VelocityNet.stack([VelocityNet.init(_arch(), RngStream(0, i))
+                               for i in range(2)])
+    stacked = CoupledBatch.stack([_data(32, seed=i) for i in range(2)])
+    cfg = TrainConfig(n_samples=32, batch_size=8, steps=5)
+    for net, data, seed in [(stack, stacked, 3), (stack, stacked, (1, 2, 3)),
+                            (stack, _data(32), (1, 2)),
+                            (VelocityNet.init(_arch(), RngStream(0)), stacked, 1)]:
+        with pytest.raises(ValueError):
+            train(net, data, dataclasses.replace(cfg, seed=seed))
 
 
 def test_train_rejects_sample_count_mismatch():
