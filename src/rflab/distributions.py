@@ -1,11 +1,12 @@
 """Source/target distributions, independent couplings along the linear path,
 and the displacement-truncation accounting.
 
-The coupling is always the independent product pi0 x pi1 with t ~ Uniform[0,1];
-batches are stored column-wise (arrays over the batch index) because all
-consumers are vectorized, but they behave like sequences of coupled samples.
-Each DistributionSpec counts how many samples it has handed out; reflow's
-data-isolation guarantee is checked against that counter.
+The coupling is always the independent product pi0 x pi1 with t ~ Uniform[0,1].
+A coupled sample reaches the estimator only as the regression triple
+(t, X_t, X1 - X0), and that triple is all a batch keeps. Batches are stored
+column-wise because all consumers are vectorized. Each DistributionSpec counts
+how many samples it has handed out; reflow's data-isolation guarantee is
+checked against that counter.
 """
 
 from __future__ import annotations
@@ -115,22 +116,6 @@ class DistributionSpec:
         self.draws += n
         return out
 
-    def to_json(self) -> dict:
-        if self.kind == "gaussian":
-            body = {"kind": "gaussian", "mean": self.mean.tolist(), "std": self.std}
-        elif self.kind == "gaussian_mixture":
-            body = {
-                "kind": "gaussian_mixture",
-                "components": [
-                    {"weight": w, "mean": m.tolist(), "std": s}
-                    for w, m, s in self.components
-                ],
-            }
-        else:
-            body = {"kind": "empirical", "points": self.points.tolist()}
-        body["subgaussian_sigma"] = self.subgaussian_sigma
-        return body
-
     @classmethod
     def from_json(cls, obj: dict) -> "DistributionSpec":
         kind = obj.get("kind")
@@ -163,25 +148,20 @@ def interpolate(x0: np.ndarray, x1: np.ndarray, t) -> np.ndarray:
 
 @dataclasses.dataclass
 class CoupledBatch:
-    """Batch of coupled samples: arrays indexed by sample.
+    """Batch of regression triples (t, xt, disp): arrays indexed by sample.
 
-    Invariants: xt = (1-t) x0 + t x1 and disp = x1 - x0, row by row.
+    For the pairs (x0, x1) it was formed from, xt = (1-t) x0 + t x1 and
+    disp = x1 - x0, row by row; the endpoints themselves are not kept.
     A stacked batch (`CoupledBatch.stack`) holds K batches of n rows each:
-    x0 is (K, n, d) and t is (K, n); its length is still n.
+    xt is (K, n, d) and t is (K, n); its length is still n.
     """
 
-    x0: np.ndarray
-    x1: np.ndarray
     t: np.ndarray
     xt: np.ndarray
     disp: np.ndarray
 
     def __len__(self) -> int:
-        return self.x0.shape[-2]
-
-    @property
-    def dim(self) -> int:
-        return self.x0.shape[-1]
+        return self.t.shape[-1]
 
     def take(self, idx) -> "CoupledBatch":
         """Rows idx; a stacked batch takes rows idx[i] from batch i."""
@@ -191,7 +171,7 @@ class CoupledBatch:
             # row numbers into the K batches laid end to end
             idx = idx + self.t.shape[-1] * np.arange(idx.shape[0])[:, None]
         return CoupledBatch(*(a.reshape((-1,) + a.shape[lead + 1:]).take(idx, axis=0)
-                              for a in (self.x0, self.x1, self.t, self.xt, self.disp)))
+                              for a in (self.t, self.xt, self.disp)))
 
     @classmethod
     def stack(cls, batches) -> "CoupledBatch":
@@ -206,7 +186,7 @@ class CoupledBatch:
         t = np.asarray(t, dtype=np.float64).reshape(-1)
         if x0.shape != x1.shape or x0.shape[0] != t.size:
             raise ValueError("x0, x1, t shapes disagree")
-        return cls(x0, x1, t, interpolate(x0, x1, t), x1 - x0)
+        return cls(t, interpolate(x0, x1, t), x1 - x0)
 
 
 def draw_coupled(rng: RngStream, pi0: DistributionSpec, pi1: DistributionSpec,

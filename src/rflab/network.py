@@ -147,11 +147,6 @@ def lipschitz_report(arch: NetArchitecture, m_disp: float = 0.0) -> LipschitzRep
     )
 
 
-def loss_lipschitz(out_bound: float, disp_bound: float) -> float:
-    """Pointwise-loss Lipschitz constant in the velocity argument."""
-    return 2.0 * (out_bound + disp_bound)
-
-
 def _layer_views(arch: NetArchitecture, flat: np.ndarray) -> list[np.ndarray]:
     """Row-major (..., out_k, in_k + 1) views, layer by layer, into a buffer
     of shape (..., P): one net, or a stack of nets along the leading axis."""

@@ -66,11 +66,6 @@ def vstar_gaussian(spec: GaussianPairSpec, x, t):
     return out[0] if single else out
 
 
-def vstar_field(spec: GaussianPairSpec):
-    """The closed-form optimum as a field callable(x, t)."""
-    return lambda x, t: vstar_gaussian(spec, x, t)
-
-
 def sample_pair(spec: GaussianPairSpec, rng: RngStream, n: int):
     x0 = spec.mu0 + spec.std0 * rng.gen.standard_normal((n, spec.dim))
     x1 = spec.mu1 + spec.std1 * rng.gen.standard_normal((n, spec.dim))
@@ -287,7 +282,7 @@ class LeCamReport:
     eta: float
     tv_pair: float            # quadrature TV between the two targets
     tv_budget_m: float        # min(1, m * eta): product-measure TV budget
-    separation_sq: float      # ||v1 - v2||^2 in L2(pi_{*,1/2})
+    separation: SeparationReport  # its l2_separation_sq is ||v1 - v2||^2
     risk_floor: float         # (separation/4) * (1 - budget), two-point reduction
     floor_ratio: float        # risk_floor / (eps^2 sigma^2)
 
@@ -303,8 +298,8 @@ def lecam_budget(inst: LowerBoundInstance, m: int) -> LeCamReport:
         raise ValueError("m must be >= 1")
     tv = tv_distance_mixtures(inst)
     budget = min(1.0, m * inst.eta)
-    sep = velocity_separation(inst).l2_separation_sq
-    floor = 0.25 * sep * (1.0 - budget)
+    sep = velocity_separation(inst)
+    floor = 0.25 * sep.l2_separation_sq * (1.0 - budget)
     scale = inst.epsilon ** 2 * inst.sigma ** 2
     return LeCamReport(m, inst.eta, tv, budget, sep, floor, floor / scale)
 

@@ -98,20 +98,17 @@ def estimate_kappa(net: VelocityNet, data: CoupledBatch, seed: int,
     """Curvature probe: max gradient-difference ratio over random directions.
 
     Only used to cap constant step sizes; not a certified smoothness constant.
+    All gradients come from one loss_and_grad call on a stack of probes + 1
+    nets (member 0 is net, member j is net moved along direction j), so the
+    probe stack holds (probes + 1) * n rows.
     """
     rng = RngStream(seed, _PROBE_TAG)
-    theta = net.get_theta()
-    probe = net.copy()
-    _, g0 = probe.loss_and_grad(data)
-    best = 0.0
-    for _ in range(probes):
-        d = rng.gen.standard_normal(theta.size)
-        d *= scale / np.linalg.norm(d)
-        probe.set_theta(theta + d)
-        _, g1 = probe.loss_and_grad(data)
-        best = max(best, float(np.linalg.norm(g1 - g0) / scale))
-    probe.set_theta(theta)
-    return best
+    d = rng.gen.standard_normal((probes, net.param_count))
+    probe = VelocityNet.stack([net] * (probes + 1))
+    for j in range(probes):
+        probe.theta[j + 1] += d[j] * (scale / np.linalg.norm(d[j]))
+    _, g = probe.loss_and_grad(data)
+    return max([0.0] + [float(np.linalg.norm(gj - g[0]) / scale) for gj in g[1:]])
 
 
 def train(net: VelocityNet, data: CoupledBatch, cfg: TrainConfig):

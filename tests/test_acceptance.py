@@ -6,6 +6,7 @@ feeds criteria 3 and 4 runs once per session through the command line
 driver, exactly as a user would invoke it.
 """
 
+import functools
 import json
 import time
 
@@ -26,7 +27,7 @@ from rflab.network import NetArchitecture, VelocityNet, finite_diff_grad
 from rflab.oracles import (GaussianPairSpec, LowerBoundInstance,
                            conditional_mean_mc, posterior_weights,
                            tv_distance_mixtures, velocity_separation,
-                           vstar_field, vstar_gaussian)
+                           vstar_gaussian)
 from rflab.sampler import (ReflowState, euler_integrate, one_step_sample,
                            reflow, straightness)
 from rflab.training import QuadraticProblem, TrainConfig, sgd_rate_check
@@ -128,7 +129,7 @@ def test_c02_oracle_fidelity():
     pi0, pi1 = _gauss1d()
     root = RngStream(77)
     z0 = pi0.sample(root.derive(1), 4096)
-    z1, _ = euler_integrate(vstar_field(spec), z0, 1000)
+    z1, _ = euler_integrate(functools.partial(vstar_gaussian, spec), z0, 1000)
     ref = pi1.sample(root.derive(2), 4096)
     w2 = w2_empirical(z1, ref)
     elapsed = time.perf_counter() - t0

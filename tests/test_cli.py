@@ -17,7 +17,6 @@ from rflab.distributions import DistributionSpec
 from rflab.linalg_rng import RngStream
 from rflab.network import NetArchitecture, VelocityNet, save_checkpoint
 from rflab.sampler import one_step_sample
-from rflab.training import DivergenceError
 
 
 def _write_config(tmp_path, obj, name="config.json"):
@@ -367,18 +366,22 @@ def test_sweep_rerun_and_jobs_agree(tmp_path):
 
 
 def test_sweep_divergent_cells_go_to_failures_csv(tmp_path, monkeypatch):
-    real_train = cli.train
+    # both n = 64 cells regress on displacements scaled by 1e300: their loss
+    # is infinite at the first record step, so training reports a divergence
+    real_draw = cli.draw_coupled
 
-    def flaky_train(net, data, cfg):
-        if cfg.n_samples == 64:
-            raise DivergenceError("loss exceeded the divergence factor")
-        return real_train(net, data, cfg)
+    def poisoned_draw(rng, pi0, pi1, n):
+        batch = real_draw(rng, pi0, pi1, n)
+        if n == 64:
+            batch.disp *= 1e300
+        return batch
 
-    monkeypatch.setattr(cli, "train", flaky_train)
+    monkeypatch.setattr(cli, "draw_coupled", poisoned_draw)
     cfg = _write_config(tmp_path, _SMALL_SWEEP)
     out = tmp_path / "out"
     # failed cells are recorded, not fatal
-    assert main(["--config", cfg, "--out", str(out), "sweep"]) == EXIT_OK
+    with np.errstate(all="ignore"):
+        assert main(["--config", cfg, "--out", str(out), "sweep"]) == EXIT_OK
 
     _, _, rows = _read_csv(out / "sweep.csv")
     assert len(rows) == 8
@@ -387,7 +390,23 @@ def test_sweep_divergent_cells_go_to_failures_csv(tmp_path, monkeypatch):
     _, _, frows = _read_csv(out / "sweep_failures.csv")
     assert [(int(r[0]), int(r[1])) for r in frows] == [(64, 0), (64, 1)]
     assert all(r[3] == "DivergenceError" for r in frows)
+    assert all("at step 0" in r[4] for r in frows)
     assert _read_json(out / "sweep_fit.json")["failures"] == 2
+
+
+def test_sweep_tiny_unequal_stds_have_no_closed_form(tmp_path):
+    # stds 1e-13 and 5e-13 differ by less than 1e-12 but are not equal
+    # relative to their size: the closed-form velocity does not apply, so
+    # vel_l2 is NaN rather than an abort
+    obj = json.loads(json.dumps(_SMALL_SWEEP))
+    obj["pi0"] = {"kind": "gaussian", "mean": [0.0], "std": 1e-13}
+    obj["pi1"] = {"kind": "gaussian", "mean": [2.0], "std": 5e-13}
+    cfg = _write_config(tmp_path, obj)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "sweep"]) == EXIT_OK
+    _, header, rows = _read_csv(out / "sweep.csv")
+    assert len(rows) == 10
+    assert all(math.isnan(float(r[header.index("vel_l2")])) for r in rows)
 
 
 def test_sweep_records_a_non_finite_cell_and_carries_on(tmp_path, monkeypatch):

@@ -90,20 +90,30 @@ def test_empirical_sampling_returns_points():
 
 
 def test_json_roundtrip():
-    specs = [
-        _g([1.0, 2.0], 0.5),
-        DistributionSpec("gaussian_mixture", 1,
-                         components=[(0.25, np.array([-2.0]), 0.5),
-                                     (0.75, np.array([2.0]), 1.5)]),
-        DistributionSpec("empirical", 2, points=np.array([[0.0, 1.0], [2.0, 3.0]])),
+    # config dicts as a JSON config file spells them, against the spec built
+    # directly
+    cases = [
+        ({"kind": "gaussian", "mean": [1.0, 2.0], "std": 0.5}, _g([1.0, 2.0], 0.5)),
+        ({"kind": "gaussian_mixture",
+          "components": [{"weight": 0.25, "mean": [-2.0], "std": 0.5},
+                         {"weight": 0.75, "mean": [2.0], "std": 1.5}]},
+         DistributionSpec("gaussian_mixture", 1,
+                          components=[(0.25, np.array([-2.0]), 0.5),
+                                      (0.75, np.array([2.0]), 1.5)])),
+        ({"kind": "empirical", "points": [[0.0, 1.0], [2.0, 3.0]],
+          "subgaussian_sigma": 3.0},
+         DistributionSpec("empirical", 2, points=np.array([[0.0, 1.0], [2.0, 3.0]]),
+                          subgaussian_sigma=3.0)),
     ]
-    for spec in specs:
-        back = DistributionSpec.from_json(spec.to_json())
+    for obj, spec in cases:
+        back = DistributionSpec.from_json(obj)
         assert back.kind == spec.kind
         assert back.dim == spec.dim
         assert back.subgaussian_sigma == spec.subgaussian_sigma
-        assert back.to_json() == spec.to_json()
-        assert np.allclose(back.mean_vector(), spec.mean_vector())
+        assert (back.mean_vector() == spec.mean_vector()).all()
+        assert (back.sample(RngStream(3), 5) == spec.sample(RngStream(3), 5)).all()
+    with pytest.raises(ValueError, match="unknown distribution kind"):
+        DistributionSpec.from_json({"kind": "uniform"})
 
 
 # -- interpolation and coupling ------------------------------------------------------
@@ -127,13 +137,16 @@ def test_interpolate_between_endpoints_scalar(t, a, b):
 
 
 def test_coupled_batch_invariants():
-    rng = RngStream(7)
-    batch = draw_coupled(rng, _g([0.0], 1.0), _g([2.0], 1.0), 64)
+    pi0, pi1 = _g([0.0], 1.0), _g([2.0], 1.0)
+    batch = draw_coupled(RngStream(7), pi0, pi1, 64)
     assert len(batch) == 64
-    assert batch.dim == 1
-    assert np.allclose(batch.xt, (1 - batch.t)[:, None] * batch.x0
-                       + batch.t[:, None] * batch.x1)
-    assert np.allclose(batch.disp, batch.x1 - batch.x0)
+    assert batch.xt.shape == batch.disp.shape == (64, 1)
+    # the same stream gives the endpoints the triple was formed from
+    rng = RngStream(7)
+    x0, x1 = pi0.sample(rng, 64), pi1.sample(rng, 64)
+    assert (batch.t == rng.gen.uniform(0.0, 1.0, size=64)).all()
+    assert (batch.xt == interpolate(x0, x1, batch.t)).all()
+    assert (batch.disp == x1 - x0).all()
     assert (batch.t >= 0).all() and (batch.t <= 1).all()
 
 
@@ -141,7 +154,8 @@ def test_coupled_batch_take():
     batch = draw_coupled(RngStream(7), _g([0.0], 1.0), _g([2.0], 1.0), 10)
     sub = batch.take(np.array([0, 3, 5]))
     assert len(sub) == 3
-    assert (sub.x0[1] == batch.x0[3]).all()
+    assert sub.t[1] == batch.t[3]
+    assert (sub.disp[1] == batch.disp[3]).all()
     assert (sub.xt[2] == batch.xt[5]).all()
 
 
@@ -149,14 +163,14 @@ def test_stacked_batch_length_and_take():
     batches = [draw_coupled(RngStream(7, i), _g([0.0, 1.0], 1.0),
                             _g([2.0, 0.0], 1.0), 10) for i in range(3)]
     stacked = CoupledBatch.stack(batches)
-    assert stacked.x0.shape == (3, 10, 2) and stacked.t.shape == (3, 10)
-    assert len(stacked) == 10 and stacked.dim == 2
+    assert stacked.xt.shape == (3, 10, 2) and stacked.t.shape == (3, 10)
+    assert len(stacked) == 10
     idx = np.array([[0, 3], [9, 9], [4, 1]])
     sub = stacked.take(idx)
     assert len(sub) == 2
     for i in range(3):
         solo = batches[i].take(idx[i])
-        for name in ("x0", "x1", "t", "xt", "disp"):
+        for name in ("t", "xt", "disp"):
             assert (getattr(sub, name)[i] == getattr(solo, name)).all()
     with pytest.raises(ValueError):
         CoupledBatch.stack([batches[0], batches[1].take(np.arange(5))])
@@ -175,8 +189,8 @@ def test_couple_given_keeps_endpoints():
     x0 = np.array([[0.0], [1.0]])
     x1 = np.array([[10.0], [11.0]])
     batch = couple_given(RngStream(9), x0, x1)
-    assert (batch.x0 == x0).all()
-    assert (batch.x1 == x1).all()
+    assert (batch.disp == x1 - x0).all()
+    assert (batch.xt == interpolate(x0, x1, batch.t)).all()
     assert np.allclose(batch.disp, 10.0)
 
 

@@ -132,8 +132,7 @@ def test_excess_risk_constant_gap():
 
 def test_excess_risk_empty_holdout():
     from rflab.distributions import CoupledBatch
-    empty = CoupledBatch(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0),
-                         np.zeros((0, 1)), np.zeros((0, 1)))
+    empty = CoupledBatch(np.zeros(0), np.zeros((0, 1)), np.zeros((0, 1)))
     with pytest.raises(ValueError):
         excess_risk(lambda x, t: x, lambda x, t: x, empty)
 

@@ -10,7 +10,7 @@ from rflab.distributions import CoupledBatch, draw_coupled, DistributionSpec
 from rflab.linalg_rng import RngStream
 from rflab.network import (CHECKPOINT_FORMAT, NetArchitecture, VelocityNet,
                            finite_diff_grad, lipschitz_report,
-                           load_checkpoint, loss_lipschitz, make_activation,
+                           load_checkpoint, make_activation,
                            save_checkpoint)
 
 
@@ -232,7 +232,10 @@ def test_lipschitz_report_frozen_arithmetic():
 
 
 def test_loss_lipschitz_helper():
-    assert loss_lipschitz(4.0, 6.0) == 20.0
+    # 2 (M0 + M_disp): the output bound M0 = V b plus the displacement bound
+    arch = _arch(dim=1, hidden=(8,), V=4.0)
+    assert lipschitz_report(arch).loss_lipschitz == 8.0
+    assert lipschitz_report(arch, m_disp=6.0).loss_lipschitz == 20.0
     with pytest.raises(ValueError):
         lipschitz_report(_arch(), m_disp=-1.0)
 
@@ -372,8 +375,7 @@ def test_loss_of_zero_net_is_mean_square_displacement():
 
 def test_loss_and_grad_rejects_empty_batch():
     net = VelocityNet.zeros(_arch())
-    empty = CoupledBatch(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0),
-                         np.zeros((0, 1)), np.zeros((0, 1)))
+    empty = CoupledBatch(np.zeros(0), np.zeros((0, 1)), np.zeros((0, 1)))
     with pytest.raises(ValueError):
         net.loss_and_grad(empty)
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from rflab.oracles import (GaussianPairSpec, LowerBoundInstance,
                            mixture_posterior_velocity, pi_star_pdf,
                            posterior_weights, sample_pair, target_pdf,
                            tv_distance_mixtures, velocity_l2_error,
-                           velocity_separation, vstar_field, vstar_gaussian)
+                           velocity_separation, vstar_gaussian)
 
 
 def _spec_1d(mu1=2.0, std=1.0):
@@ -71,7 +72,7 @@ def test_vstar_rejects_unequal_variance_and_bad_t():
 
 def test_vstar_field_and_shapes():
     spec = _spec_1d()
-    field = vstar_field(spec)
+    field = functools.partial(vstar_gaussian, spec)
     x = np.array([[0.1], [0.7], [1.3]])
     t = np.array([0.2, 0.5, 0.8])
     out = field(x, t)
@@ -140,7 +141,8 @@ def test_binned_mc_validation():
 
 def test_velocity_l2_error_zero_for_exact_field():
     spec = _spec_1d()
-    est, stderr = velocity_l2_error(vstar_field(spec), spec, 2000, RngStream(1))
+    est, stderr = velocity_l2_error(functools.partial(vstar_gaussian, spec),
+                                    spec, 2000, RngStream(1))
     assert est == 0.0
     assert stderr == 0.0
 
@@ -303,7 +305,10 @@ def test_lecam_budget_arithmetic():
     assert rep.tv_budget_m == pytest.approx(m * inst.eta)
     assert rep.tv_budget_m <= 0.5
     assert rep.risk_floor == pytest.approx(
-        0.25 * rep.separation_sq * (1.0 - rep.tv_budget_m), rel=1e-14)
+        0.25 * rep.separation.l2_separation_sq * (1.0 - rep.tv_budget_m),
+        rel=1e-14)
+    assert rep.separation == velocity_separation(inst)
+    assert rep.tv_pair == tv_distance_mixtures(inst)
     assert rep.floor_ratio == pytest.approx(
         rep.risk_floor / (inst.epsilon ** 2 * inst.sigma ** 2), rel=1e-14)
     # the floor stays a constant fraction of eps^2 sigma^2

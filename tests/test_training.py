@@ -6,8 +6,8 @@ import pytest
 from rflab.distributions import CoupledBatch, DistributionSpec, draw_coupled
 from rflab.linalg_rng import RngStream
 from rflab.network import NetArchitecture, VelocityNet
-from rflab.training import (DivergenceError, QuadraticProblem, TrainConfig,
-                            TrainTrace, closed_envelope_constant,
+from rflab.training import (_PROBE_TAG, DivergenceError, QuadraticProblem,
+                            TrainConfig, TrainTrace, closed_envelope_constant,
                             estimate_kappa, pl_diagnostic,
                             recursion_envelope, sgd_rate_check, step_size,
                             train)
@@ -229,6 +229,29 @@ def test_estimate_kappa_positive_and_deterministic():
     assert k1 > 0
     # probing must not move the parameters
     assert (net.get_theta() == VelocityNet.init(_arch(), RngStream(6)).get_theta()).all()
+
+
+@pytest.mark.parametrize("arch", [
+    _arch(),
+    NetArchitecture(dim=2, hidden=(5, 4), activation="sigmoid", l1_budget=3.0),
+], ids=["tanh-1x8", "sigmoid-2x5x4"])
+def test_estimate_kappa_stack_matches_one_probe_at_a_time(arch):
+    # the stacked probes give the bits of one solo loss_and_grad per probe
+    pi = DistributionSpec("gaussian", arch.dim, mean=np.zeros(arch.dim), std=1.0)
+    data = draw_coupled(RngStream(4), pi, pi, 48)
+    net = VelocityNet.init(arch, RngStream(9))
+    rng = RngStream(13, _PROBE_TAG)
+    probe = net.copy()
+    _, g0 = probe.loss_and_grad(data)
+    best = 0.0
+    for _ in range(30):
+        d = rng.gen.standard_normal(net.param_count)
+        d *= 1e-3 / np.linalg.norm(d)
+        probe.set_theta(net.theta + d)
+        _, g1 = probe.loss_and_grad(data)
+        best = max(best, float(np.linalg.norm(g1 - g0) / 1e-3))
+    assert best > 0
+    assert estimate_kappa(net, data, seed=13, probes=30, scale=1e-3) == best
 
 
 # -- PL diagnostic --------------------------------------------------------------------
