@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .linalg_rng import RngStream
-from .network import lipschitz_report
+from .network import VelocityNet, lipschitz_report
 
 _SQRT_PI_HALF = math.sqrt(math.pi) / 2.0
 
@@ -267,30 +267,41 @@ class RademacherReport:
 
 
 def _per_sample_loss(net, batch) -> np.ndarray:
+    """Per-sample squared residual: (n,), or (K, n) for a stack."""
     res = net(batch.xt, batch.t) - batch.disp
-    return np.sum(res * res, axis=1)
+    return np.sum(res * res, axis=-1)
 
 
-def _localization_sq(net, ref_loss: np.ndarray, batch, l_ell: float) -> float:
+def _localization_sq(net, ref_loss: np.ndarray, batch, l_ell: float):
+    """L_ell^2 mean_i gap_i^2 per member; the mean over the last axis of a
+    (K, n) array has the bits of the 1-D mean of each row."""
     gap = _per_sample_loss(net, batch) - ref_loss
-    return l_ell ** 2 * float(np.mean(gap * gap))
+    return l_ell ** 2 * np.mean(gap * gap, axis=-1)
 
 
 def _pull_to_ball(net, theta_ref: np.ndarray, ref_loss: np.ndarray, batch,
                   r: float, l_ell: float) -> None:
-    # both endpoints satisfy the row constraints, so every blend does too
-    if _localization_sq(net, ref_loss, batch, l_ell) <= r:
+    """Move every member of a stack that lies outside the localization ball
+    back along the segment to the reference, in place.
+
+    The members outside run 40 bisection steps on the blend weight in
+    lockstep, as one sub-stack, each with its own lo/hi; the members inside
+    are left untouched."""
+    # both endpoints satisfy the row constraints, so every blend does too.
+    # A NaN localization counts as outside, as in a one-net `<= r` test
+    outside = np.flatnonzero(~(_localization_sq(net, ref_loss, batch, l_ell) <= r))
+    if outside.size == 0:
         return
-    theta = net.get_theta()
-    lo, hi = 0.0, 1.0
+    theta = net.theta[outside]
+    sub = VelocityNet.from_theta(net.arch, theta)
+    lo, hi = np.zeros(outside.size), np.ones(outside.size)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        net.set_theta(theta_ref + mid * (theta - theta_ref))
-        if _localization_sq(net, ref_loss, batch, l_ell) <= r:
-            lo = mid
-        else:
-            hi = mid
-    net.set_theta(theta_ref + lo * (theta - theta_ref))
+        sub.set_theta(theta_ref + mid[:, None] * (theta - theta_ref))
+        inside = _localization_sq(sub, ref_loss, batch, l_ell) <= r
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    net.theta[outside] = theta_ref + lo[:, None] * (theta - theta_ref)
 
 
 def empirical_local_rademacher(sampler, net_ref, data, r: float,
@@ -306,7 +317,14 @@ def empirical_local_rademacher(sampler, net_ref, data, r: float,
     projected gradient ascent over theta (restarted), pulling back to the
     localization boundary along the segment to the reference whenever the
     ball is left. init_thetas seeds extra restarts, letting callers chain
-    warm starts across an increasing r grid.
+    warm starts across an increasing r grid: restart j < len(init_thetas)
+    starts from init_thetas[j], the others from the sampler.
+
+    Every (sign, restart) pair is one member of one stack of nets that
+    carries its own sign vector as its row of the sample weights, so each
+    ascent step is one stacked gradient call. Each member goes through the
+    floating-point operations of a serial ascent of that pair, so the report
+    equals the one a loop over the pairs computes, bit for bit.
 
     Small instances only: the ascent is dense in P and n.
     """
@@ -320,32 +338,37 @@ def empirical_local_rademacher(sampler, net_ref, data, r: float,
     theta_ref = net_ref.get_theta()
     ref_loss = _per_sample_loss(net_ref, data)
     sign_gen = rng.derive(1)
-    per_sign = np.empty(n_signs)
-    best_thetas = []
+    signs = np.array([sign_gen.gen.integers(0, 2, size=n) * 2.0 - 1.0
+                      for _ in range(n_signs)])
+    warm = list(init_thetas or [])
+    n_seeds = max(len(warm), n_restarts)
+    members = []  # member s * n_seeds + j: sign s, restart j
     for s in range(n_signs):
-        signs = sign_gen.gen.integers(0, 2, size=n) * 2.0 - 1.0
-        best = 0.0  # the reference itself attains 0
-        best_theta = theta_ref.copy()
-        seeds = list(init_thetas or [])
-        while len(seeds) < n_restarts:
-            seeds.append(None)
-        for j, seed_theta in enumerate(seeds):
-            net = net_ref.copy()
-            if seed_theta is not None:
-                net.set_theta(np.asarray(seed_theta, dtype=np.float64))
+        for j in range(n_seeds):
+            if j < len(warm):
+                net = VelocityNet.from_theta(net_ref.arch, warm[j])
                 net.project_constraints()
             else:
                 net = sampler(rng.derive(10 + 31 * s + j))
-            _pull_to_ball(net, theta_ref, ref_loss, data, r, l_ell)
-            for _ in range(ascent_steps):
-                _, g = net.loss_and_grad(data, sample_weights=signs)
-                net.theta += step_size * g
-                net.project_constraints()
-                _pull_to_ball(net, theta_ref, ref_loss, data, r, l_ell)
-            val = float(np.mean(signs * (_per_sample_loss(net, data) - ref_loss)))
-            if val > best:
-                best = val
-                best_theta = net.get_theta()
+            members.append(net)
+    net = VelocityNet.stack(members)
+    wts = np.repeat(signs, n_seeds, axis=0)
+    _pull_to_ball(net, theta_ref, ref_loss, data, r, l_ell)
+    for _ in range(ascent_steps):
+        _, g = net.loss_and_grad(data, sample_weights=wts)
+        net.theta += step_size * g
+        net.project_constraints()
+        _pull_to_ball(net, theta_ref, ref_loss, data, r, l_ell)
+    vals = np.mean(wts * (_per_sample_loss(net, data) - ref_loss), axis=-1)
+    per_sign = np.empty(n_signs)
+    best_thetas = []
+    for s in range(n_signs):
+        best = 0.0  # the reference itself attains 0
+        best_theta = theta_ref.copy()
+        for k in range(s * n_seeds, (s + 1) * n_seeds):
+            if vals[k] > best:
+                best = float(vals[k])
+                best_theta = net.theta[k].copy()
         per_sign[s] = best
         best_thetas.append(best_theta)
     return RademacherReport(

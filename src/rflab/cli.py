@@ -29,7 +29,7 @@ from . import __version__
 from .bounds import BoundInputs, VacuousRegimeError, bernstein_B, full_report
 from .distributions import CoupledBatch, DistributionSpec, draw_coupled
 from .linalg_rng import RngStream, splitmix64
-from .metrics import excess_risk, fit_rate, w2_empirical
+from .metrics import ASSIGNMENT_CAP, excess_risk, fit_rate, w2_empirical
 from .network import (NetArchitecture, VelocityNet, finite_diff_grad,
                       load_checkpoint, save_checkpoint)
 from .oracles import (GaussianPairSpec, LowerBoundInstance, lecam_budget,
@@ -204,6 +204,12 @@ def load_experiment(config_path: str | None, seed_override: int | None = None,
             eval_samples=int(_field(sw, "eval_samples", 4096)),
             euler_steps=int(_field(sw, "euler_steps", 100)),
             steps_exponent=float(_field(sw, "steps_exponent", 1.0)))
+        # in d >= 2 each cell's W2 goes through the capped assignment route,
+        # so scoring would fail after every cell had trained
+        if pi0.dim >= 2 and sweep.eval_samples > ASSIGNMENT_CAP:
+            raise ConfigError(
+                f"field 'sweep.eval_samples' must be <= {ASSIGNMENT_CAP} "
+                f"in d >= 2 (the exact W2 assignment is capped there)")
 
     return Experiment(
         task=task, seed=seed, out_dir=out_dir, pi0=pi0, pi1=pi1, arch=arch,

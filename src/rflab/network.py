@@ -33,13 +33,19 @@ class Activation:
     bound: float       # b: range is [-bound, bound]
     lipschitz: float   # L_phi
 
-    def value(self, z: np.ndarray) -> np.ndarray:
+    def value(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Activation of z, written into out when given (which may be a
+        strided view). exp and logaddexp run on contiguous temporaries; only
+        exact operations write into out, so both paths give the same bits."""
         if self.name == "tanh":
-            return np.tanh(z)
+            return np.tanh(z, out=out)
         if self.name == "sigmoid":
-            return 1.0 / (1.0 + np.exp(-z))
+            e = np.negative(z)
+            np.exp(e, out=e)
+            e += 1.0
+            return np.divide(1.0, e, out=out)
         # softplus clamped to [-b, b]; softplus >= 0 so only the upper clamp binds
-        return np.minimum(np.logaddexp(0.0, z), self.bound)
+        return np.minimum(np.logaddexp(0.0, z), self.bound, out=out)
 
     def deriv(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Derivative, given pre-activation z and activation value a."""
@@ -210,9 +216,15 @@ class VelocityNet:
 
     @classmethod
     def zeros(cls, arch: NetArchitecture) -> "VelocityNet":
-        dims = arch.layer_dims
-        return cls(arch, [np.zeros((dims[k + 1], dims[k] + 1))
-                          for k in range(len(dims) - 1)])
+        return cls.from_theta(arch, np.zeros(arch.param_count))
+
+    @classmethod
+    def from_theta(cls, arch: NetArchitecture, theta: np.ndarray) -> "VelocityNet":
+        """One net from a (P,) parameter vector, or a stack from (K, P) (copied)."""
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape[-1:] != (arch.param_count,):
+            raise ValueError("theta has the wrong length")
+        return cls(arch, _layer_views(arch, theta))
 
     @classmethod
     def stack(cls, nets) -> "VelocityNet":
@@ -267,25 +279,27 @@ class VelocityNet:
 
     # -- forward pass and gradient --------------------------------------------
 
-    def _aug(self, a: np.ndarray) -> np.ndarray:
-        out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))
-        out[..., :-1] = a
-        out[..., -1] = self.arch.act_bound
-        return out
-
     def _forward(self, x: np.ndarray, t: np.ndarray, keep: bool):
         """Output; with keep, also the augmented input of every layer and the
-        pre-activation of every activated layer, for the gradient."""
-        a = np.concatenate([x, t[..., None]], axis=-1)
+        pre-activation of every activated layer, for the gradient.
+
+        Each layer's augmented input [a, b] is one buffer with the bias
+        column set once: x and t go straight into the first, and each
+        activation is written into the next one's [..., :-1] view."""
+        b = self.arch.act_bound
+        aug = np.empty(x.shape[:-1] + (x.shape[-1] + 2,))
+        aug[..., :-2] = x
+        aug[..., -2] = t
+        aug[..., -1] = b
         augs, pres = [], []
         for w in self.weights[:-1]:
-            aug = self._aug(a)
             z = aug @ w.swapaxes(-1, -2)
-            a = self._act.value(z)
             if keep:
                 augs.append(aug)
                 pres.append(z)
-        aug = self._aug(a)
+            aug = np.empty(z.shape[:-1] + (z.shape[-1] + 1,))
+            aug[..., -1] = b
+            self._act.value(z, out=aug[..., :-1])
         out = aug @ self.weights[-1].swapaxes(-1, -2)
         if keep:
             augs.append(aug)
@@ -311,8 +325,9 @@ class VelocityNet:
         """Loss and flat gradient of (1/n) sum_i w_i ||v(xt_i,t_i) - disp_i||^2.
 
         sample_weights defaults to all-ones (the plain batch mean); signed
-        weights are allowed (the Rademacher estimator uses +-1). A stack on a
-        stacked batch gives (K,) losses and (K, P) gradients.
+        weights are allowed (the Rademacher estimator uses +-1). A stack
+        gives (K,) losses and (K, P) gradients; it may take (K, n) weights,
+        one row per member.
         """
         n = len(batch)
         if n == 0:
@@ -323,13 +338,16 @@ class VelocityNet:
             wts = np.full(n, 1.0 / n)
         else:
             wts = np.asarray(sample_weights, dtype=np.float64) / n
+            if wts.shape not in ((n,), res.shape[:-1]):
+                raise ValueError(f"sample_weights has shape {wts.shape}, "
+                                 f"expected {(n,)} or {res.shape[:-1]}")
         # a (1, n) @ (n, 1) product per member is the same dot product as
         # np.dot on one net's vectors
-        loss = ((res * res).sum(axis=-1)[..., None, :] @ wts[:, None])[..., 0, 0]
+        loss = ((res * res).sum(axis=-1)[..., None, :] @ wts[..., None])[..., 0, 0]
         loss = loss if loss.ndim else float(loss)
         grad = np.empty(res.shape[:-2] + (self.param_count,))
         grads = _layer_views(self.arch, grad)
-        g = 2.0 * res * wts[:, None]
+        g = 2.0 * res * wts[..., None]
         for k in range(len(self.weights) - 1, -1, -1):
             np.matmul(g.swapaxes(-1, -2), augs[k], out=grads[k])
             if k > 0:
@@ -385,6 +403,4 @@ def load_checkpoint(path) -> tuple[VelocityNet, dict]:
     theta = np.frombuffer(blob, dtype="<f8").astype(np.float64)
     if theta.size != header["param_count"] or theta.size != arch.param_count:
         raise ValueError("checkpoint parameter block has the wrong length")
-    net = VelocityNet.zeros(arch)
-    net.set_theta(theta)
-    return net, header
+    return VelocityNet.from_theta(arch, theta), header

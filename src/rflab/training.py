@@ -1,5 +1,5 @@
 """Projected SGD on the displacement-regression loss, with the diminishing
-step schedule, divergence guard, PL diagnostics, and the synthetic-quadratic
+step schedule, divergence guard, and the synthetic-quadratic
 rate check whose envelope comes from iterating
 delta_{k+1} <= (1 - mu eta_k) delta_k + kappa sigma^2 eta_k^2 / 2.
 
@@ -20,7 +20,6 @@ from .linalg_rng import RngStream
 from .network import VelocityNet
 
 _SHUFFLE_TAG = 0x5347440A  # stream tag for minibatch shuffling
-_PROBE_TAG = 0x50524F42    # stream tag for curvature probes
 
 
 class DivergenceError(RuntimeError):
@@ -91,24 +90,6 @@ class TrainTrace:
         for k in range(self.step.size):
             yield (int(self.step[k]), float(self.loss[k]), float(self.grad_norm[k]),
                    float(self.eta[k]), float(self.max_row_l1[k]))
-
-
-def estimate_kappa(net: VelocityNet, data: CoupledBatch, seed: int,
-                   probes: int = 100, scale: float = 1e-3) -> float:
-    """Curvature probe: max gradient-difference ratio over random directions.
-
-    Only used to cap constant step sizes; not a certified smoothness constant.
-    All gradients come from one loss_and_grad call on a stack of probes + 1
-    nets (member 0 is net, member j is net moved along direction j), so the
-    probe stack holds (probes + 1) * n rows.
-    """
-    rng = RngStream(seed, _PROBE_TAG)
-    d = rng.gen.standard_normal((probes, net.param_count))
-    probe = VelocityNet.stack([net] * (probes + 1))
-    for j in range(probes):
-        probe.theta[j + 1] += d[j] * (scale / np.linalg.norm(d[j]))
-    _, g = probe.loss_and_grad(data)
-    return max([0.0] + [float(np.linalg.norm(gj - g[0]) / scale) for gj in g[1:]])
 
 
 def train(net: VelocityNet, data: CoupledBatch, cfg: TrainConfig):
@@ -192,30 +173,6 @@ def train(net: VelocityNet, data: CoupledBatch, cfg: TrainConfig):
         final_loss=float(rec_loss[-1][i]),
     ) for i in range(K)]
     return traces if lead else traces[0]
-
-
-@dataclasses.dataclass
-class PLReport:
-    steps: np.ndarray
-    ratios: np.ndarray          # ||grad||^2 / (2 (loss - loss_star)); NaN where degenerate
-    degenerate: np.ndarray      # True where loss - loss_star < 1e-12
-    min_ratio: float            # min over non-degenerate steps
-    mu_hat: float
-    satisfied: bool             # min_ratio >= mu_hat
-
-
-def pl_diagnostic(trace: TrainTrace, mu_hat: float, loss_star: float) -> PLReport:
-    """Empirical PL ratio per recorded step; a lower estimate of the PL constant."""
-    gap = trace.loss - loss_star
-    if np.min(gap) < -1e-9:
-        raise ValueError("loss_star exceeds the observed minimum loss")
-    degenerate = gap < 1e-12
-    ratios = np.full(gap.shape, np.nan)
-    ok = ~degenerate
-    ratios[ok] = trace.grad_norm[ok] ** 2 / (2.0 * gap[ok])
-    min_ratio = float(np.min(ratios[ok])) if ok.any() else float("nan")
-    return PLReport(trace.step.copy(), ratios, degenerate, min_ratio, mu_hat,
-                    bool(ok.any() and min_ratio >= mu_hat))
 
 
 @dataclasses.dataclass

@@ -318,6 +318,91 @@ def test_rademacher_deterministic_and_reports_shape():
     assert rep1.spread >= 0.0
 
 
+def _serial_local_rademacher(sampler, net_ref, data, r, n_signs, n_restarts,
+                             rng, l_ell, ascent_steps, step_size=0.05,
+                             init_thetas=None):
+    """Reference: one projected ascent per (sign, restart) pair, one net at a
+    time, with a bisection that returns early inside the ball. Also returns
+    how many pulls bisected."""
+
+    def per_sample_loss(net):
+        res = net(data.xt, data.t) - data.disp
+        return np.sum(res * res, axis=1)
+
+    def localization_sq(net):
+        gap = per_sample_loss(net) - ref_loss
+        return l_ell ** 2 * float(np.mean(gap * gap))
+
+    def pull_to_ball(net):
+        if localization_sq(net) <= r:
+            return 0
+        theta = net.get_theta()
+        lo, hi = 0.0, 1.0
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            net.set_theta(theta_ref + mid * (theta - theta_ref))
+            if localization_sq(net) <= r:
+                lo = mid
+            else:
+                hi = mid
+        net.set_theta(theta_ref + lo * (theta - theta_ref))
+        return 1
+
+    theta_ref = net_ref.get_theta()
+    ref_loss = per_sample_loss(net_ref)
+    sign_gen = rng.derive(1)
+    per_sign, best_thetas, pulls = np.empty(n_signs), [], 0
+    for s in range(n_signs):
+        signs = sign_gen.gen.integers(0, 2, size=len(data)) * 2.0 - 1.0
+        best, best_theta = 0.0, theta_ref.copy()
+        seeds = list(init_thetas or [])
+        while len(seeds) < n_restarts:
+            seeds.append(None)
+        for j, seed_theta in enumerate(seeds):
+            if seed_theta is not None:
+                net = net_ref.copy()
+                net.set_theta(np.asarray(seed_theta, dtype=np.float64))
+                net.project_constraints()
+            else:
+                net = sampler(rng.derive(10 + 31 * s + j))
+            pulls += pull_to_ball(net)
+            for _ in range(ascent_steps):
+                _, g = net.loss_and_grad(data, sample_weights=signs)
+                net.theta += step_size * g
+                net.project_constraints()
+                pulls += pull_to_ball(net)
+            val = float(np.mean(signs * (per_sample_loss(net) - ref_loss)))
+            if val > best:
+                best, best_theta = val, net.get_theta()
+        per_sign[s] = best
+        best_thetas.append(best_theta)
+    return float(per_sign.mean()), per_sign, best_thetas, pulls
+
+
+@pytest.mark.parametrize("r,n_restarts,n_warm", [
+    (0.0, 2, 0), (1e12, 2, 0), (0.05, 2, 3), (0.05, 3, 1)],
+    ids=["zero-radius", "no-member-leaves", "warm-longer", "warm-shorter"])
+def test_stacked_estimator_matches_serial_loop(r, n_restarts, n_warm):
+    # the stacked ascent computes what a loop over the pairs computes, bit
+    # for bit; warm starts scaled out of the l1 ball are projected first
+    arch, data, ref, sampler = _rad_setup()
+    warm = [VelocityNet.init(arch, RngStream(40 + i)).theta * 3.0
+            for i in range(n_warm)] or None
+    kw = dict(n_signs=3, n_restarts=n_restarts, l_ell=10.0, ascent_steps=10,
+              init_thetas=warm)
+    rep = empirical_local_rademacher(sampler, ref, data, r, rng=RngStream(9), **kw)
+    value, per_sign, best_thetas, pulls = _serial_local_rademacher(
+        sampler, ref, data, r, rng=RngStream(9), **kw)
+    assert rep.value == value
+    assert rep.per_sign.tobytes() == per_sign.tobytes()
+    assert len(rep.best_thetas) == len(best_thetas) == 3
+    for got, want in zip(rep.best_thetas, best_thetas):
+        assert got.tobytes() == want.tobytes()
+    assert (pulls == 0) == (r == 1e12)
+    if n_warm:
+        assert rep.value > 0
+
+
 def test_rademacher_size_caps():
     arch, data, ref, sampler = _rad_setup(n=48)
     big = draw_coupled(RngStream(0),

@@ -322,6 +322,17 @@ def _strip_runtime(path):
     return meta, header[:-1], [r[:-1] for r in rows]
 
 
+def test_sweep_eval_samples_above_the_assignment_cap_in_2d(tmp_path, capsys):
+    # in d >= 2 the W2 of every cell takes the assignment route, capped at
+    # 512 points: the config is rejected before any training starts
+    sweep = {**_SMALL_SWEEP["sweep"], "eval_samples": 1024}
+    cfg = _write_config(tmp_path, {"task": "mixture_2d", "sweep": sweep})
+    code = main(["--config", cfg, "--out", str(tmp_path / "out"), "sweep"])
+    assert code == EXIT_CONFIG
+    assert "sweep.eval_samples" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_smoke_outputs(tmp_path):
     cfg = _write_config(tmp_path, _SMALL_SWEEP)
     out = tmp_path / "out"

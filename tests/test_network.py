@@ -53,6 +53,22 @@ def test_activation_derivs_match_finite_diff():
         assert np.allclose(act.deriv(z, a), fd, atol=1e-8), name
 
 
+@pytest.mark.parametrize("name,bound", [
+    ("tanh", 1.0), ("sigmoid", 1.0), ("softplus_clamped", 1.5)])
+def test_activation_out_matches_allocating_path(name, bound):
+    # the forward pass writes each activation into the [..., :-1] view of
+    # the next layer's augmented buffer; that strided path must give the
+    # bits of the allocating one, clamp included
+    act = make_activation(name, bound)
+    rng = np.random.default_rng(5)
+    for shape in [(7,), (33, 8), (3, 65, 5)]:
+        z = rng.standard_normal(shape) * 6.0
+        aug = np.full(shape[:-1] + (shape[-1] + 1,), -7.0)
+        act.value(z, out=aug[..., :-1])
+        assert aug[..., :-1].tobytes() == act.value(z).tobytes()
+        assert (aug[..., -1] == -7.0).all()
+
+
 def test_activation_lipschitz_constants():
     assert make_activation("tanh", 1.0).lipschitz == 1.0
     assert make_activation("sigmoid", 1.0).lipschitz == 0.25
@@ -364,6 +380,28 @@ def test_sample_weights_semantics():
         lm = probe.loss_and_grad(batch, sample_weights=signs)[0]
         fd[j] = (lp - lm) / (2 * h)
     assert np.linalg.norm(grad_w - fd) / max(1.0, np.linalg.norm(fd)) < 1e-6
+
+
+@pytest.mark.parametrize("arch", [
+    _arch(dim=1, hidden=(4,)),
+    _arch(dim=2, hidden=(3, 5), activation="sigmoid"),
+    _arch(dim=1, hidden=(5,), activation="softplus_clamped", b=1.5),
+], ids=["tanh", "sigmoid", "softplus"])
+def test_stacked_sample_weights_match_members(arch):
+    # a stack on one batch with (K, n) weights, one row per member: every
+    # member's loss and gradient are its solo ones with its row, bit for bit
+    K, n = 4, 37
+    nets = [VelocityNet.init(arch, RngStream(21, i)) for i in range(K)]
+    batch = _batch(arch.dim, n, seed=21)
+    wts = RngStream(22).gen.integers(0, 2, size=(K, n)) * 2.0 - 1.0
+    losses, grads = VelocityNet.stack(nets).loss_and_grad(batch, sample_weights=wts)
+    assert losses.shape == (K,) and grads.shape == (K, arch.param_count)
+    for i in range(K):
+        solo_loss, solo_grad = nets[i].loss_and_grad(batch, sample_weights=wts[i])
+        assert losses[i] == solo_loss
+        assert grads[i].tobytes() == solo_grad.tobytes()
+    with pytest.raises(ValueError, match="sample_weights"):
+        nets[0].loss_and_grad(batch, sample_weights=wts)
 
 
 def test_loss_of_zero_net_is_mean_square_displacement():

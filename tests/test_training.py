@@ -6,11 +6,9 @@ import pytest
 from rflab.distributions import CoupledBatch, DistributionSpec, draw_coupled
 from rflab.linalg_rng import RngStream
 from rflab.network import NetArchitecture, VelocityNet
-from rflab.training import (_PROBE_TAG, DivergenceError, QuadraticProblem,
-                            TrainConfig, TrainTrace, closed_envelope_constant,
-                            estimate_kappa, pl_diagnostic,
-                            recursion_envelope, sgd_rate_check, step_size,
-                            train)
+from rflab.training import (DivergenceError, QuadraticProblem, TrainConfig,
+                            closed_envelope_constant, recursion_envelope,
+                            sgd_rate_check, step_size, train)
 
 
 def _arch(V=4.0):
@@ -218,73 +216,6 @@ def test_divergence_error():
     net = VelocityNet.init(_arch(), RngStream(3))
     with pytest.raises(DivergenceError, match="exceeded"):
         train(net, data, cfg)
-
-
-def test_estimate_kappa_positive_and_deterministic():
-    data = _data(32, seed=6)
-    net = VelocityNet.init(_arch(), RngStream(6))
-    k1 = estimate_kappa(net, data, seed=11, probes=20)
-    k2 = estimate_kappa(net, data, seed=11, probes=20)
-    assert k1 == k2
-    assert k1 > 0
-    # probing must not move the parameters
-    assert (net.get_theta() == VelocityNet.init(_arch(), RngStream(6)).get_theta()).all()
-
-
-@pytest.mark.parametrize("arch", [
-    _arch(),
-    NetArchitecture(dim=2, hidden=(5, 4), activation="sigmoid", l1_budget=3.0),
-], ids=["tanh-1x8", "sigmoid-2x5x4"])
-def test_estimate_kappa_stack_matches_one_probe_at_a_time(arch):
-    # the stacked probes give the bits of one solo loss_and_grad per probe
-    pi = DistributionSpec("gaussian", arch.dim, mean=np.zeros(arch.dim), std=1.0)
-    data = draw_coupled(RngStream(4), pi, pi, 48)
-    net = VelocityNet.init(arch, RngStream(9))
-    rng = RngStream(13, _PROBE_TAG)
-    probe = net.copy()
-    _, g0 = probe.loss_and_grad(data)
-    best = 0.0
-    for _ in range(30):
-        d = rng.gen.standard_normal(net.param_count)
-        d *= 1e-3 / np.linalg.norm(d)
-        probe.set_theta(net.theta + d)
-        _, g1 = probe.loss_and_grad(data)
-        best = max(best, float(np.linalg.norm(g1 - g0) / 1e-3))
-    assert best > 0
-    assert estimate_kappa(net, data, seed=13, probes=30, scale=1e-3) == best
-
-
-# -- PL diagnostic --------------------------------------------------------------------
-
-
-def test_pl_diagnostic_arithmetic():
-    trace = TrainTrace(
-        step=np.array([0, 1, 2]),
-        loss=np.array([2.0, 1.0, 0.5]),
-        grad_norm=np.array([2.0, 1.0, 0.1]),
-        eta=np.zeros(3), max_row_l1=np.zeros(3),
-        initial_loss=2.0, final_loss=0.5)
-    rep = pl_diagnostic(trace, mu_hat=0.2, loss_star=0.0)
-    # ratio_k = g_k^2 / (2 (loss_k - L*))
-    assert np.allclose(rep.ratios, [1.0, 0.5, 0.01])
-    assert rep.min_ratio == pytest.approx(0.01)
-    assert not rep.satisfied
-    assert pl_diagnostic(trace, mu_hat=0.005, loss_star=0.0).satisfied
-
-
-def test_pl_diagnostic_degenerate_and_invalid():
-    trace = TrainTrace(
-        step=np.array([0, 1]),
-        loss=np.array([1.0, 1e-15]),
-        grad_norm=np.array([1.0, 1e-9]),
-        eta=np.zeros(2), max_row_l1=np.zeros(2),
-        initial_loss=1.0, final_loss=1e-15)
-    rep = pl_diagnostic(trace, mu_hat=0.1, loss_star=0.0)
-    assert rep.degenerate.tolist() == [False, True]
-    assert np.isnan(rep.ratios[1])
-    assert rep.min_ratio == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        pl_diagnostic(trace, mu_hat=0.1, loss_star=2.0)
 
 
 # -- quadratic testbed ----------------------------------------------------------------
