@@ -30,11 +30,12 @@ from .bounds import BoundInputs, VacuousRegimeError, bernstein_B, full_report
 from .distributions import CoupledBatch, DistributionSpec, draw_coupled
 from .linalg_rng import RngStream, splitmix64
 from .metrics import ASSIGNMENT_CAP, excess_risk, fit_rate, w2_empirical
-from .network import (NetArchitecture, VelocityNet, finite_diff_grad,
-                      load_checkpoint, save_checkpoint)
+from .network import (CHECKPOINT_FORMAT, NetArchitecture, VelocityNet,
+                      finite_diff_grad, load_checkpoint, save_checkpoint)
 from .oracles import (GaussianPairSpec, LowerBoundInstance, lecam_budget,
                       lowerbound_grid, velocity_l2_error)
-from .sampler import ReflowState, euler_integrate, reflow, straightness
+from .sampler import (MAX_REFLOW_ROUNDS, ReflowState, euler_integrate,
+                      reflow, straightness)
 from .training import DivergenceError, TrainConfig, train
 
 EXIT_OK = 0
@@ -234,12 +235,44 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path: str, exp: Experiment, header: list[str], rows) -> None:
+CSV_BLOCK_ROWS = 4096
+
+
+def _cells(column):
+    """The text of one block of a column. tolist() yields the Python floats and
+    ints that _fmt prints, so a float64 or integer array skips the per-cell
+    dispatch; an object array must hold the text of its cells already."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            return map(repr, column.tolist())
+        if column.dtype.kind in "iu":
+            return map(str, column.tolist())
+        if column.dtype == object:
+            return column.tolist()
+    return map(_fmt, column)
+
+
+def _by_column(rows: list, width: int) -> list:
+    """A list of equal-length rows as write_csv columns; no rows, `width`
+    empty columns."""
+    return list(zip(*rows)) or [()] * width
+
+
+def write_csv(path: str, exp: Experiment, header: list[str], columns) -> None:
+    """One CSV column per header name, formatted and written CSV_BLOCK_ROWS
+    rows at a time so that no whole-table text is ever held."""
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns for {len(header)} header names")
+    lengths = {len(c) for c in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal length: {sorted(lengths)}")
+    n_rows = lengths.pop() if lengths else 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_meta_line(exp) + "\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for lo in range(0, n_rows, CSV_BLOCK_ROWS):
+            block = [_cells(c[lo:lo + CSV_BLOCK_ROWS]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def write_json(path: str, exp: Experiment, obj: dict) -> None:
@@ -272,7 +305,8 @@ def cmd_train(exp: Experiment, args) -> int:
                     extra={"config_sha256": exp.sha, "version": __version__})
     write_csv(os.path.join(out, "trace.csv"), exp,
               ["step", "loss", "grad_norm", "eta", "max_row_l1"],
-              trace.to_csv_rows())
+              [trace.step, trace.loss, trace.grad_norm, trace.eta,
+               trace.max_row_l1])
     write_json(os.path.join(out, "train_summary.json"), exp, {
         "task": exp.task, "seed": exp.seed, "n_samples": cfg.n_samples,
         "steps": cfg.steps, "initial_loss": trace.initial_loss,
@@ -286,9 +320,31 @@ def cmd_train(exp: Experiment, args) -> int:
 # -- sample ----------------------------------------------------------------------
 
 
+def _sample_flags(exp: Experiment, args) -> tuple[VelocityNet, dict]:
+    """Reject bad sample flags before any work; returns the checkpoint."""
+    if args.count < 1:
+        raise ConfigError("--count must be >= 1")
+    if args.steps < 1:
+        raise ConfigError("--steps must be >= 1")
+    if not 0 <= args.reflow <= MAX_REFLOW_ROUNDS:
+        raise ConfigError(f"--reflow must be in [0, {MAX_REFLOW_ROUNDS}]")
+    if args.reflow and args.steps < 2:
+        raise ConfigError("--steps must be >= 2 with --reflow (straightness "
+                          "needs two steps)")
+    try:
+        net, header = load_checkpoint(args.checkpoint)
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise ConfigError(f"--checkpoint: not a readable {CHECKPOINT_FORMAT} "
+                          f"checkpoint: {e}") from None
+    if net.arch.dim != exp.pi0.dim:
+        raise ConfigError(f"--checkpoint: net dimension {net.arch.dim} does "
+                          f"not match the endpoint dimension {exp.pi0.dim}")
+    return net, header
+
+
 def cmd_sample(exp: Experiment, args) -> int:
+    net, header = _sample_flags(exp, args)
     out = _ensure_out(exp)
-    net, header = load_checkpoint(args.checkpoint)
     root = RngStream(exp.seed)
     rounds = []
     if args.reflow > 0:
@@ -308,16 +364,19 @@ def cmd_sample(exp: Experiment, args) -> int:
     z1, traj = euler_integrate(net, z0, args.steps,
                                record=args.trajectories)
     dim_cols = [f"dim_{j}" for j in range(z1.shape[1])]
-    write_csv(os.path.join(out, "samples.csv"), exp, dim_cols,
-              (list(row) for row in z1))
+    write_csv(os.path.join(out, "samples.csv"), exp, dim_cols, list(z1.T))
     if args.trajectories:
-        rows = []
-        for s in range(traj.states.shape[0]):
-            for i in range(traj.states.shape[1]):
-                rows.append([i, s, float(traj.times[s]),
-                             *traj.states[s, i].tolist()])
+        # step-major, sample-minor rows; the sample, step and time cells are
+        # formatted once per sample and once per step, then repeated
+        n_steps, count, _ = traj.states.shape
+        samples = np.array([str(i) for i in range(count)], dtype=object)
+        steps = np.array([str(s) for s in range(n_steps)], dtype=object)
+        times = np.array([repr(t) for t in traj.times.tolist()], dtype=object)
+        prefix = [np.tile(samples, n_steps), np.repeat(steps, count),
+                  np.repeat(times, count)]
+        states = traj.states.reshape(-1, z1.shape[1])
         write_csv(os.path.join(out, "trajectories.csv"), exp,
-                  ["sample", "step", "time", *dim_cols], rows)
+                  ["sample", "step", "time", *dim_cols], prefix + list(states.T))
     write_json(os.path.join(out, "sample_summary.json"), exp, {
         "checkpoint": os.path.basename(args.checkpoint),
         "checkpoint_seed": header.get("seed"),
@@ -449,9 +508,10 @@ def cmd_sweep(exp: Experiment, args) -> int:
                       key=lambda r: (r[0], r[1]))
     write_csv(os.path.join(out, "sweep.csv"), exp,
               ["n", "trial", "seed", "excess_risk", "vel_l2", "w2",
-               "w2_baseline", "runtime_ms"], rows)
+               "w2_baseline", "runtime_ms"], _by_column(rows, 8))
     write_csv(os.path.join(out, "sweep_failures.csv"), exp,
-              ["n", "trial", "seed", "error", "message"], failures)
+              ["n", "trial", "seed", "error", "message"],
+              _by_column(failures, 5))
 
     fits = {}
     per_n: dict[int, list] = {}
@@ -505,7 +565,7 @@ def cmd_bounds(exp: Experiment, args) -> int:
                if not isinstance(v, dict)},
             **{f"truncation.{k}": v for k, v in payload["truncation"].items()}}
     write_csv(os.path.join(out, "bounds.csv"), exp, ["key", "value"],
-              sorted(flat.items()))
+              _by_column(sorted(flat.items()), 2))
     print(f"bounds: r_star {rep.r_star:.6g}, stat {rep.stat_bound:.6g}, "
           f"n_required {rep.n_required}")
     return EXIT_OK
@@ -539,10 +599,9 @@ def cmd_lowerbound(exp: Experiment, args) -> int:
         raise FloatingPointError(
             f"separation rms {sep.interval_rms:.4g} below 0.9 R")
     grid = lowerbound_grid(inst, lo, hi, n_grid)
-    write_csv(os.path.join(out, "lowerbound.csv"), exp,
-              ["x", "v1", "v2", "diff", "density_pi_star"],
-              zip(grid["x"], grid["v1"], grid["v2"], grid["diff"],
-                  grid["density_pi_star"]))
+    names = ["x", "v1", "v2", "diff", "density_pi_star"]
+    write_csv(os.path.join(out, "lowerbound.csv"), exp, names,
+              [grid[k] for k in names])
     write_json(os.path.join(out, "lowerbound_summary.json"), exp, {
         "sigma": inst.sigma, "R": inst.R, "epsilon": inst.epsilon,
         "eta": inst.eta, "tv": tv, "m": m, "m_eta_budget": lc.tv_budget_m,

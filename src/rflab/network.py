@@ -397,8 +397,9 @@ def load_checkpoint(path) -> tuple[VelocityNet, dict]:
         header_line = fh.readline()
         blob = fh.read()
     header = json.loads(header_line.decode())
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unrecognized checkpoint format: {header.get('format')!r}")
+    fmt = header.get("format") if isinstance(header, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ValueError(f"unrecognized checkpoint format: {fmt!r}")
     arch = NetArchitecture.from_json(header["arch"])
     theta = np.frombuffer(blob, dtype="<f8").astype(np.float64)
     if theta.size != header["param_count"] or theta.size != arch.param_count:

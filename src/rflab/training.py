@@ -86,11 +86,6 @@ class TrainTrace:
     initial_loss: float
     final_loss: float
 
-    def to_csv_rows(self):
-        for k in range(self.step.size):
-            yield (int(self.step[k]), float(self.loss[k]), float(self.grad_norm[k]),
-                   float(self.eta[k]), float(self.max_row_l1[k]))
-
 
 def train(net: VelocityNet, data: CoupledBatch, cfg: TrainConfig):
     """Projected SGD in place; returns the trace. Raises DivergenceError when the
@@ -167,7 +162,7 @@ def train(net: VelocityNet, data: CoupledBatch, cfg: TrainConfig):
         step=np.array(rec_step, dtype=np.int64),
         loss=np.array([float(v[i]) for v in rec_loss]),
         grad_norm=np.array([v[i] for v in rec_gnorm]),
-        eta=np.array(rec_eta),
+        eta=np.array(rec_eta, dtype=np.float64),
         max_row_l1=np.array([v[i] for v in rec_row]),
         initial_loss=float(loss0[i]),
         final_loss=float(rec_loss[-1][i]),

@@ -16,7 +16,7 @@ from rflab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from rflab.distributions import DistributionSpec
 from rflab.linalg_rng import RngStream
 from rflab.network import NetArchitecture, VelocityNet, save_checkpoint
-from rflab.sampler import one_step_sample
+from rflab.sampler import euler_integrate, one_step_sample
 
 
 def _write_config(tmp_path, obj, name="config.json"):
@@ -300,6 +300,168 @@ def test_sample_reflow_records_straightness(tmp_path):
     rounds = summary["straightness_per_round"]
     assert len(rounds) == 2
     assert all(v >= 0.0 for v in rounds)
+
+
+def test_sample_trajectories_follow_the_euler_states(tmp_path):
+    # an initialised 2-D net moves every point differently, so the rows pin
+    # down the step-major, sample-minor order and every state bit
+    arch = NetArchitecture(dim=2, hidden=(8,), activation="tanh",
+                           l1_budget=4.0, act_bound=1.0)
+    net = VelocityNet.init(arch, RngStream(5))
+    ck = tmp_path / "net.bin"
+    save_checkpoint(net, str(ck), seed=5, step=0)
+    cfg = _write_config(tmp_path, {"task": "mixture_2d", "seed": 13})
+    out = tmp_path / "out"
+    count, steps = 6, 7
+    assert main(["--config", cfg, "--out", str(out), "sample",
+                 "--checkpoint", str(ck), "--steps", str(steps),
+                 "--count", str(count), "--trajectories"]) == EXIT_OK
+
+    pi0 = DistributionSpec(kind="gaussian", dim=2, mean=np.zeros(2), std=1.0)
+    z0 = pi0.sample(RngStream(13).derive(5), count)
+    _, traj = euler_integrate(net, z0, steps, record=True)
+    _, header, rows = _read_csv(out / "trajectories.csv")
+    assert header == ["sample", "step", "time", "dim_0", "dim_1"]
+    assert [(int(r[0]), int(r[1])) for r in rows] \
+        == [(i, s) for s in range(steps + 1) for i in range(count)]
+    assert [r[2] for r in rows] \
+        == [repr(float(traj.times[s])) for s in range(steps + 1)
+            for _ in range(count)]
+    got = np.array([[float(v) for v in r[3:]] for r in rows])
+    assert got.tobytes() == traj.states.reshape(-1, 2).tobytes()
+
+
+_SAMPLE_PROBES = {
+    "count-zero": (["--count", "0"], "--count"),
+    "steps-zero": (["--steps", "0"], "--steps"),
+    "reflow-negative": (["--reflow", "-1"], "--reflow"),
+    "reflow-above-cap": (["--reflow", "5"], "--reflow"),
+    "reflow-with-one-step": (["--reflow", "1", "--steps", "1"], "--steps"),
+}
+
+
+@pytest.mark.parametrize("flags,flag", _SAMPLE_PROBES.values(),
+                         ids=_SAMPLE_PROBES.keys())
+def test_sample_rejects_bad_flags_before_any_work(tmp_path, capsys, flags,
+                                                  flag):
+    ck = tmp_path / "net.bin"
+    save_checkpoint(VelocityNet.init(_default_arch(), RngStream(3)), str(ck),
+                    seed=3, step=0)
+    cfg = _write_config(tmp_path, {"task": "gaussian_1d", "seed": 11})
+    out = tmp_path / "out"
+    code = main(["--config", cfg, "--out", str(out), "sample",
+                 "--checkpoint", str(ck), *flags])
+    assert code == EXIT_CONFIG
+    assert f"config error: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _bad_checkpoint(tmp_path, kind):
+    path = tmp_path / "net.bin"
+    if kind == "missing":
+        return path
+    save_checkpoint(VelocityNet.init(_default_arch(), RngStream(3)),
+                    str(path), seed=3, step=0)
+    header, blob = path.read_bytes().split(b"\n", 1)
+    if kind == "not-json":
+        path.write_bytes(b"\x00\xffnot a header\n" + blob)
+    elif kind == "json-list":
+        path.write_bytes(b"[1, 2]\n" + blob)
+    elif kind == "other-format":
+        path.write_bytes(header.replace(b"rflab-velnet-1", b"other-9")
+                         + b"\n" + blob)
+    elif kind == "short-block":
+        path.write_bytes(header + b"\n" + blob[:-8])
+    elif kind == "wrong-dim":
+        save_checkpoint(VelocityNet.init(NetArchitecture(dim=2, hidden=(4,)),
+                                         RngStream(3)), str(path), seed=3,
+                        step=0)
+    return path
+
+
+@pytest.mark.parametrize("kind", ["missing", "not-json", "json-list",
+                                  "other-format", "short-block", "wrong-dim"])
+def test_sample_rejects_an_unreadable_checkpoint(tmp_path, capsys, kind):
+    ck = _bad_checkpoint(tmp_path, kind)
+    cfg = _write_config(tmp_path, {"task": "gaussian_1d", "seed": 11})
+    out = tmp_path / "out"
+    code = main(["--config", cfg, "--out", str(out), "sample",
+                 "--checkpoint", str(ck)])
+    assert code == EXIT_CONFIG
+    assert "config error: --checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# -- the CSV writer ----------------------------------------------------------------
+
+
+def _write_csv_by_rows(path, exp, header, rows):
+    """The row-by-row writer that write_csv replaced: one format call per
+    cell, repr for floats (numpy scalars unwrapped) and str for the rest."""
+    def fmt(v):
+        if isinstance(v, float):
+            return repr(float(v))
+        return str(v)
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(cli._meta_line(exp) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")
+
+
+_SPECIAL_FLOATS = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+                   1e16, 1e-5, 1 / 3, 0.1, -2.5e-300, 1.7976931348623157e308]
+_MIXED_CELLS = ["key.a", True, False, None, 0.1, np.float64(1 / 3),
+                np.int64(-7), 2 ** 64 - 1, "", 3]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, cli.CSV_BLOCK_ROWS - 1,
+                                    cli.CSV_BLOCK_ROWS,
+                                    cli.CSV_BLOCK_ROWS + 1])
+def test_write_csv_matches_row_formatting(tmp_path, n_rows):
+    exp = cli.load_experiment(None)
+    gen = np.random.default_rng(n_rows)
+    wide = gen.standard_normal((n_rows, 2)) * 10.0 ** gen.integers(
+        -300, 300, size=(n_rows, 2))
+    columns = [
+        np.resize(np.array(_SPECIAL_FLOATS), n_rows),
+        wide[:, 1],                                   # a strided float view
+        np.arange(n_rows, dtype=np.int64) * -(2 ** 40),
+        np.arange(n_rows, dtype=np.uint64) + np.uint64(2 ** 63),
+        [2 ** 64 - 1 - i for i in range(n_rows)],     # Python ints
+        [_MIXED_CELLS[i % len(_MIXED_CELLS)] for i in range(n_rows)],
+        np.resize(np.float32([0.1, -0.0, 1 / 3, 1e-5, np.inf]), n_rows),
+        np.array([str(i % 7) for i in range(n_rows)], dtype=object),
+        np.array([f"s{i}" for i in range(n_rows)]),
+    ]
+    header = [f"c{j}" for j in range(len(columns))]
+    cli.write_csv(str(tmp_path / "block.csv"), exp, header, columns)
+    _write_csv_by_rows(str(tmp_path / "rows.csv"), exp, header, zip(*columns))
+    got = (tmp_path / "block.csv").read_bytes()
+    assert got == (tmp_path / "rows.csv").read_bytes()
+    assert got.count(b"\n") == n_rows + 2
+
+
+def test_write_csv_rejects_ragged_columns(tmp_path):
+    exp = cli.load_experiment(None)
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="unequal length"):
+        cli.write_csv(str(path), exp, ["a", "b"], [np.zeros(3), [1, 2]])
+    with pytest.raises(ValueError, match="header"):
+        cli.write_csv(str(path), exp, ["a", "b"], [np.zeros(3)])
+    assert not path.exists()
+
+
+def test_trace_csv_prints_an_integer_eta_as_a_float(tmp_path):
+    cfg = _write_config(tmp_path, {
+        "seed": 2, "train": {"n_samples": 64, "batch_size": 32, "steps": 4,
+                             "schedule": "constant", "eta": 1,
+                             "record_every": 2}})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "train"]) == EXIT_OK
+    _, header, rows = _read_csv(out / "trace.csv")
+    assert [r[header.index("eta")] for r in rows] == ["1.0", "1.0", "1.0"]
 
 
 # -- sweep -------------------------------------------------------------------------

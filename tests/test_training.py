@@ -91,8 +91,10 @@ def test_train_trace_layout():
     for i, k in enumerate(tr.step):
         assert tr.eta[i] == step_size(cfg, int(k))
     assert (tr.max_row_l1 <= 4.0 + 1e-9).all()
-    rows = list(tr.to_csv_rows())
-    assert len(rows) == 4 and rows[0][0] == 0
+    # the columns of trace.csv: one int64 step column, float64 for the rest
+    assert tr.step.dtype == np.int64
+    for col in (tr.loss, tr.grad_norm, tr.eta, tr.max_row_l1):
+        assert col.dtype == np.float64 and col.shape == tr.step.shape
 
 
 def test_train_keeps_iterates_feasible():
