@@ -77,9 +77,6 @@ class BoundInputs:
     def with_n(self, n: int) -> "BoundInputs":
         return dataclasses.replace(self, n=n)
 
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def bernstein_B(L_theta: float, mu: float) -> float:
     """Variance-to-mean constant of the curvature argument: B = 2 L^2 / mu."""
@@ -293,7 +290,7 @@ def _pull_to_ball(net, theta_ref: np.ndarray, ref_loss: np.ndarray, batch,
     if outside.size == 0:
         return
     theta = net.theta[outside]
-    sub = VelocityNet.from_theta(net.arch, theta)
+    sub = VelocityNet(net.arch, theta)
     lo, hi = np.zeros(outside.size), np.ones(outside.size)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
@@ -340,18 +337,15 @@ def empirical_local_rademacher(sampler, net_ref, data, r: float,
     sign_gen = rng.derive(1)
     signs = np.array([sign_gen.gen.integers(0, 2, size=n) * 2.0 - 1.0
                       for _ in range(n_signs)])
-    warm = list(init_thetas or [])
+    warm = (VelocityNet(net_ref.arch, init_thetas).project_constraints().theta
+            if init_thetas else [])
     n_seeds = max(len(warm), n_restarts)
-    members = []  # member s * n_seeds + j: sign s, restart j
+    thetas = []  # member s * n_seeds + j: sign s, restart j
     for s in range(n_signs):
-        for j in range(n_seeds):
-            if j < len(warm):
-                net = VelocityNet.from_theta(net_ref.arch, warm[j])
-                net.project_constraints()
-            else:
-                net = sampler(rng.derive(10 + 31 * s + j))
-            members.append(net)
-    net = VelocityNet.stack(members)
+        thetas.extend(warm)
+        thetas.extend(sampler(rng.derive(10 + 31 * s + j)).theta
+                      for j in range(len(warm), n_seeds))
+    net = VelocityNet(net_ref.arch, thetas)
     wts = np.repeat(signs, n_seeds, axis=0)
     _pull_to_ball(net, theta_ref, ref_loss, data, r, l_ell)
     for _ in range(ascent_steps):
@@ -419,12 +413,6 @@ class BoundReport:
     stat_bound: float
     n_required: int
     truncation: TruncationReport
-
-    def to_json(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["inputs"] = self.inputs.to_json()
-        d["truncation"] = dataclasses.asdict(self.truncation)
-        return d
 
 
 def full_report(inputs: BoundInputs, sigma: float = 1.0,

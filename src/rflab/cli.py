@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -52,13 +53,43 @@ class ConfigError(ValueError):
 # -- config ---------------------------------------------------------------------
 
 
+def _number(kind, value, field: str):
+    """kind(value) for kind int or float; a value it cannot take is a config
+    error that names the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"field '{field}' must be "
+                          f"{'an integer' if kind is int else 'a number'}, "
+                          f"not {value!r}") from None
+
+
 def _field(obj: dict, name: str, default=None, required: bool = False,
-           prefix: str = ""):
+           prefix: str = "", kind=None):
+    """obj[name], converted by kind when given, or default when absent."""
     if name not in obj:
         if required:
             raise ConfigError(f"missing field '{prefix}{name}'")
         return default
-    return obj[name]
+    return obj[name] if kind is None else _number(kind, obj[name], prefix + name)
+
+
+def _block(obj: dict, name: str, names, default=None):
+    """Config block `name`, or default when absent: a JSON object with no
+    key outside names."""
+    if name not in obj:
+        return default
+    blk = obj[name]
+    if not isinstance(blk, dict):
+        raise ConfigError(f"field '{name}' must be a JSON object")
+    unknown = sorted(set(blk) - set(names))
+    if unknown:
+        raise ConfigError(f"unknown field '{name}.{unknown[0]}'")
+    return blk
+
+
+def _names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
 
 
 def _default_endpoints(task: str) -> tuple[dict, dict]:
@@ -81,28 +112,33 @@ def _default_endpoints(task: str) -> tuple[dict, dict]:
 @dataclasses.dataclass
 class SweepSpec:
     grid: list[int]
-    trials: int
-    epochs: int
-    proxy_n: int
-    proxy_epochs: int
-    proxy_batch: int
-    eval_samples: int
-    euler_steps: int
-    steps_exponent: float
+    trials: int = 10
+    epochs: int = 30
+    proxy_n: int = 65536
+    proxy_epochs: int = 40
+    proxy_batch: int = 512
+    eval_samples: int = 4096
+    euler_steps: int = 100
+    steps_exponent: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.grid, list):
+            raise ConfigError("field 'sweep.grid' must be a list")
+        self.grid = [_number(int, v, "sweep.grid") for v in self.grid]
         if len(self.grid) < 5:
             raise ConfigError("field 'sweep.grid' needs >= 5 values")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("field 'sweep.grid' must be strictly ascending")
         if math.log10(self.grid[-1] / self.grid[0]) < 1.5:
             raise ConfigError("field 'sweep.grid' must span >= 1.5 decades")
-        if self.trials < 1:
-            raise ConfigError("field 'sweep.trials' must be >= 1")
-        for name in ("epochs", "proxy_n", "proxy_epochs", "proxy_batch",
-                     "eval_samples", "euler_steps"):
-            if getattr(self, name) < 1:
+        for name in ("trials", "epochs", "proxy_n", "proxy_epochs",
+                     "proxy_batch", "eval_samples", "euler_steps"):
+            value = _number(int, getattr(self, name), f"sweep.{name}")
+            if value < 1:
                 raise ConfigError(f"field 'sweep.{name}' must be >= 1")
+            setattr(self, name, value)
+        self.steps_exponent = _number(float, self.steps_exponent,
+                                      "sweep.steps_exponent")
         if not (1.0 <= self.steps_exponent <= 2.0):
             raise ConfigError("field 'sweep.steps_exponent' must be in [1, 2]")
 
@@ -141,8 +177,10 @@ _DEFAULT_TRAIN = {
     "seed": 0, "record_every": 10,
 }
 
-_DEFAULT_ARCH = {"dim": 1, "hidden": [8], "activation": "tanh",
-                 "l1_budget": 4.0, "act_bound": 1.0}
+_TOP_FIELDS = ("task", "seed", "out_dir", "pi0", "pi1", "arch", "train",
+               "sweep", "bounds", "lowerbound")
+_SPEC_FIELDS = ("kind", "dim", "mean", "std", "components", "points",
+                "subgaussian_sigma")
 
 
 def load_experiment(config_path: str | None, seed_override: int | None = None,
@@ -162,49 +200,47 @@ def load_experiment(config_path: str | None, seed_override: int | None = None,
                 f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
     if not isinstance(obj, dict):
         raise ConfigError("top-level config must be a JSON object")
+    unknown = sorted(set(obj) - set(_TOP_FIELDS))
+    if unknown:
+        raise ConfigError(f"unknown field '{unknown[0]}'")
 
     task = _field(obj, "task", default="gaussian_1d")
     if task not in _TASKS:
         raise ConfigError(f"field 'task' must be one of {_TASKS}")
     seed = seed_override if seed_override is not None else _field(obj, "seed", 0)
     if not isinstance(seed, int) or not (0 <= seed < 2 ** 64):
-        raise ConfigError("field 'seed' must be an unsigned 64-bit integer")
+        source = "--seed" if seed_override is not None else "field 'seed'"
+        raise ConfigError(f"{source} must be an unsigned 64-bit integer")
     out_dir = out_override or _field(obj, "out_dir", "out")
+    if not isinstance(out_dir, str):
+        raise ConfigError("field 'out_dir' must be a string")
 
-    d0, d1 = _default_endpoints(task)
+    specs = [_block(obj, name, _SPEC_FIELDS, default)
+             for name, default in zip(("pi0", "pi1"), _default_endpoints(task))]
     try:
-        pi0 = DistributionSpec.from_json(_field(obj, "pi0", d0))
-        pi1 = DistributionSpec.from_json(_field(obj, "pi1", d1))
+        pi0, pi1 = map(DistributionSpec.from_json, specs)
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"field 'pi0'/'pi1': {e}") from None
     if pi0.dim != pi1.dim:
         raise ConfigError("field 'pi0'/'pi1': dimensions differ")
 
-    arch_obj = {**_DEFAULT_ARCH, "dim": pi0.dim,
-                **_field(obj, "arch", {})}
+    arch_obj = _block(obj, "arch", _names(NetArchitecture), {})
     try:
-        arch = NetArchitecture.from_json(arch_obj)
+        arch = NetArchitecture(**{"hidden": (8,), "dim": pi0.dim, **arch_obj})
     except (TypeError, ValueError) as e:
         raise ConfigError(f"field 'arch': {e}") from None
     if arch.dim != pi0.dim:
         raise ConfigError("field 'arch.dim' must match the endpoint dimension")
 
-    train_block = {**_DEFAULT_TRAIN, **_field(obj, "train", {})}
+    train_block = {**_DEFAULT_TRAIN,
+                   **_block(obj, "train", _names(TrainConfig), {})}
     train_block["seed"] = seed
 
-    sweep = None
-    if "sweep" in obj:
-        sw = obj["sweep"]
-        sweep = SweepSpec(
-            grid=[int(v) for v in _field(sw, "grid", required=True, prefix="sweep.")],
-            trials=int(_field(sw, "trials", 10)),
-            epochs=int(_field(sw, "epochs", 30)),
-            proxy_n=int(_field(sw, "proxy_n", 65536)),
-            proxy_epochs=int(_field(sw, "proxy_epochs", 40)),
-            proxy_batch=int(_field(sw, "proxy_batch", 512)),
-            eval_samples=int(_field(sw, "eval_samples", 4096)),
-            euler_steps=int(_field(sw, "euler_steps", 100)),
-            steps_exponent=float(_field(sw, "steps_exponent", 1.0)))
+    sweep = _block(obj, "sweep", _names(SweepSpec))
+    if sweep is not None:
+        if "grid" not in sweep:
+            raise ConfigError("missing field 'sweep.grid'")
+        sweep = SweepSpec(**sweep)
         # in d >= 2 each cell's W2 goes through the capped assignment route,
         # so scoring would fail after every cell had trained
         if pi0.dim >= 2 and sweep.eval_samples > ASSIGNMENT_CAP:
@@ -215,8 +251,9 @@ def load_experiment(config_path: str | None, seed_override: int | None = None,
     return Experiment(
         task=task, seed=seed, out_dir=out_dir, pi0=pi0, pi1=pi1, arch=arch,
         train_block=train_block, sweep=sweep,
-        bounds_block=_field(obj, "bounds", None),
-        lowerbound_block=_field(obj, "lowerbound", None),
+        bounds_block=_block(obj, "bounds", [*_names(BoundInputs), "sigma"]),
+        lowerbound_block=_block(obj, "lowerbound",
+                                [*_names(LowerBoundInstance), "m"]),
         sha=hashlib.sha256(raw_bytes).hexdigest())
 
 
@@ -294,9 +331,9 @@ def _ensure_out(exp: Experiment) -> str:
 
 
 def cmd_train(exp: Experiment, args) -> int:
+    cfg = exp.train_config()
     out = _ensure_out(exp)
     root = RngStream(exp.seed)
-    cfg = exp.train_config()
     data = draw_coupled(root.derive(1), exp.pi0, exp.pi1, cfg.n_samples)
     net = VelocityNet.init(exp.arch, root.derive(2))
     trace = train(net, data, cfg)
@@ -344,11 +381,11 @@ def _sample_flags(exp: Experiment, args) -> tuple[VelocityNet, dict]:
 
 def cmd_sample(exp: Experiment, args) -> int:
     net, header = _sample_flags(exp, args)
+    cfg = exp.train_config() if args.reflow else None
     out = _ensure_out(exp)
     root = RngStream(exp.seed)
     rounds = []
     if args.reflow > 0:
-        cfg = exp.train_config()
         state = ReflowState(round_index=0, net=net)
         for r in range(args.reflow + 1):
             if r:
@@ -502,10 +539,9 @@ def cmd_sweep(exp: Experiment, args) -> int:
         groups = list(map(run, sw.grid))
     results = [cell for group in groups for cell in group]
 
-    rows = sorted((r for kind, r in results if kind == "ok"),
-                  key=lambda r: (r[0], r[1]))
-    failures = sorted((r for kind, r in results if kind == "fail"),
-                      key=lambda r: (r[0], r[1]))
+    # (n, trial) order: the grid ascends, and so do the trials of a group
+    rows = [r for kind, r in results if kind == "ok"]
+    failures = [r for kind, r in results if kind == "fail"]
     write_csv(os.path.join(out, "sweep.csv"), exp,
               ["n", "trial", "seed", "excess_risk", "vel_l2", "w2",
                "w2_baseline", "runtime_ms"], _by_column(rows, 8))
@@ -513,20 +549,18 @@ def cmd_sweep(exp: Experiment, args) -> int:
               ["n", "trial", "seed", "error", "message"],
               _by_column(failures, 5))
 
-    fits = {}
-    per_n: dict[int, list] = {}
-    for r in rows:
-        per_n.setdefault(r[0], []).append(r)
-    ns = sorted(per_n)
-    med_excess = [float(np.median([r[3] for r in per_n[n]])) for n in ns]
-    w2c_per_n = []
-    for n in ns:
-        vals = [math.sqrt(max(r[5] ** 2 - r[6] ** 2, 1e-12)) for r in per_n[n]]
-        w2c_per_n.append(float(np.median(vals)))
+    ns, med_excess, w2c_per_n = [], [], []
+    for n, cells in itertools.groupby(rows, key=lambda r: r[0]):
+        cells = list(cells)
+        ns.append(n)
+        med_excess.append(float(np.median([r[3] for r in cells])))
+        w2c_per_n.append(float(np.median(
+            [math.sqrt(max(r[5] ** 2 - r[6] ** 2, 1e-12)) for r in cells])))
     summary = {"grid": ns, "trials": sw.trials,
                "median_excess_risk": med_excess,
                "median_w2_corrected": w2c_per_n,
                "failures": len(failures)}
+    fits = {}
     for name, vals in (("excess_risk", med_excess), ("w2_corrected", w2c_per_n)):
         if len(ns) >= 4 and all(v > 0 for v in vals):
             f = fit_rate(np.array(ns, dtype=float), np.array(vals))
@@ -547,17 +581,18 @@ def cmd_sweep(exp: Experiment, args) -> int:
 def cmd_bounds(exp: Experiment, args) -> int:
     if exp.bounds_block is None:
         raise ConfigError("missing field 'bounds'")
-    out = _ensure_out(exp)
     blk = dict(exp.bounds_block)
-    sigma = float(blk.pop("sigma", 1.0))
+    sigma = _number(float, blk.pop("sigma", 1.0), "bounds.sigma")
     if "B" not in blk and "L_theta" in blk and "mu" in blk:
-        blk["B"] = bernstein_B(float(blk["L_theta"]), float(blk["mu"]))
+        blk["B"] = bernstein_B(_number(float, blk["L_theta"], "bounds.L_theta"),
+                               _number(float, blk["mu"], "bounds.mu"))
     try:
         inputs = BoundInputs(**blk)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"field 'bounds': {e}") from None
+    out = _ensure_out(exp)
     rep = full_report(inputs, sigma=sigma)
-    payload = rep.to_json()
+    payload = dataclasses.asdict(rep)
     payload["const_product_705_288"] = 705 * 288
     write_json(os.path.join(out, "bounds.json"), exp, payload)
     flat = {**{f"inputs.{k}": v for k, v in payload["inputs"].items()},
@@ -577,28 +612,27 @@ def cmd_bounds(exp: Experiment, args) -> int:
 def cmd_lowerbound(exp: Experiment, args) -> int:
     if exp.lowerbound_block is None:
         raise ConfigError("missing field 'lowerbound'")
-    out = _ensure_out(exp)
-    blk = exp.lowerbound_block
+    num = functools.partial(_field, exp.lowerbound_block, kind=float,
+                            prefix="lowerbound.")
+    sigma, c_interval = num("sigma", 1.0), num("c_interval", 1.0)
+    R, epsilon = num("R", required=True), num("epsilon", required=True)
     try:
-        inst = LowerBoundInstance(
-            sigma=float(_field(blk, "sigma", 1.0)),
-            R=float(_field(blk, "R", required=True, prefix="lowerbound.")),
-            epsilon=float(_field(blk, "epsilon", required=True,
-                                 prefix="lowerbound.")),
-            c_interval=float(_field(blk, "c_interval", 1.0)))
+        inst = LowerBoundInstance(sigma=sigma, R=R, epsilon=epsilon,
+                                  c_interval=c_interval)
     except ValueError as e:
         raise ConfigError(f"field 'lowerbound': {e}") from None
-    m = int(_field(blk, "m", max(1, int(0.5 / inst.eta))))
-    lo = float(_field(blk, "grid_lo", -inst.R - 4.0 * inst.sigma))
-    hi = float(_field(blk, "grid_hi", inst.R + 4.0 * inst.sigma))
-    n_grid = int(_field(blk, "grid_n", 801))
+    m = num("m", max(1, int(0.5 / inst.eta)), kind=int)
+    out = _ensure_out(exp)
 
     lc = lecam_budget(inst, m)
     tv, sep = lc.tv_pair, lc.separation
     if sep.interval_rms < 0.9 * inst.R:
         raise FloatingPointError(
             f"separation rms {sep.interval_rms:.4g} below 0.9 R")
-    grid = lowerbound_grid(inst, lo, hi, n_grid)
+    # 801 points over [-(R + 4 sigma), R + 4 sigma]: both signal modes and
+    # their tails
+    grid = lowerbound_grid(inst, -inst.R - 4.0 * inst.sigma,
+                           inst.R + 4.0 * inst.sigma, 801)
     names = ["x", "v1", "v2", "diff", "density_pi_star"]
     write_csv(os.path.join(out, "lowerbound.csv"), exp, names,
               [grid[k] for k in names])

@@ -85,6 +85,12 @@ class NetArchitecture:
     act_bound: float = 1.0
 
     def __post_init__(self):
+        # JSON gives lists and may give integers for the float fields; the
+        # checkpoint header must print the budget and bound as floats
+        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        object.__setattr__(self, "l1_budget", float(self.l1_budget))
+        object.__setattr__(self, "act_bound", float(self.act_bound))
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if len(self.hidden) < 1 or any(h < 1 for h in self.hidden):
@@ -92,7 +98,6 @@ class NetArchitecture:
         if not (self.l1_budget > 0):
             raise ValueError("l1_budget must be > 0")
         make_activation(self.activation, self.act_bound)  # validates the pair
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
     @property
     def depth(self) -> int:
@@ -109,25 +114,6 @@ class NetArchitecture:
 
     def act(self) -> Activation:
         return make_activation(self.activation, self.act_bound)
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "hidden": list(self.hidden),
-            "activation": self.activation,
-            "l1_budget": self.l1_budget,
-            "act_bound": self.act_bound,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "NetArchitecture":
-        return cls(
-            dim=int(obj["dim"]),
-            hidden=tuple(int(h) for h in obj["hidden"]),
-            activation=str(obj.get("activation", "tanh")),
-            l1_budget=float(obj.get("l1_budget", 4.0)),
-            act_bound=float(obj.get("act_bound", 1.0)),
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,7 +141,8 @@ def lipschitz_report(arch: NetArchitecture, m_disp: float = 0.0) -> LipschitzRep
 
 def _layer_views(arch: NetArchitecture, flat: np.ndarray) -> list[np.ndarray]:
     """Row-major (..., out_k, in_k + 1) views, layer by layer, into a buffer
-    of shape (..., P): one net, or a stack of nets along the leading axis."""
+    of shape (..., P): one net, or a stack of nets along the leading axis.
+    The parameter layout is known here and nowhere else."""
     dims = arch.layer_dims
     lead = flat.shape[:-1]
     views, pos = [], 0
@@ -170,61 +157,45 @@ def _layer_views(arch: NetArchitecture, flat: np.ndarray) -> list[np.ndarray]:
 class VelocityNet:
     """Velocity field v_theta(x, t) with per-row l1-constrained augmented weights.
 
-    theta is the one parameter buffer; weights[k] is a view into it of shape
-    (out_k, in_k + 1), and column in_k is the bias coordinate, whose input
-    channel is the constant act_bound.
+    A net is built from its parameter buffer theta alone; weights[k] is a
+    view into it of shape (out_k, in_k + 1), and column in_k is the bias
+    coordinate, whose input channel is the constant act_bound.
 
-    A stack of K nets of one architecture (`VelocityNet.stack`) has theta of
-    shape (K, P) and weights[k] of shape (K, out_k, in_k + 1). The methods
-    below work over the trailing axes, so a stack runs the same lines as one
-    net; each member goes through the same floating-point operations as it
-    would alone, so its results match `member(i)` bit for bit.
+    A stack of K nets of one architecture has theta of shape (K, P) and
+    weights[k] of shape (K, out_k, in_k + 1). The methods below work over
+    the trailing axes, so a stack runs the same lines as one net; each
+    member goes through the same floating-point operations as it would
+    alone, so its results match `member(i)` bit for bit.
     """
 
-    def __init__(self, arch: NetArchitecture, weights: list[np.ndarray]):
-        dims = arch.layer_dims
-        if len(weights) != len(dims) - 1:
-            raise ValueError("wrong number of weight matrices")
-        weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        lead = weights[0].shape[:-2]
-        if len(lead) > 1:
-            raise ValueError("a stack of nets has one leading axis")
-        for k, w in enumerate(weights):
-            if w.shape != lead + (dims[k + 1], dims[k] + 1):
-                raise ValueError(f"layer {k} has shape {w.shape}, "
-                                 f"expected {lead + (dims[k + 1], dims[k] + 1)}")
+    def __init__(self, arch: NetArchitecture, theta: np.ndarray):
+        """A net from a (P,) parameter vector, or a stack from (K, P); the
+        buffer is copied."""
+        theta = np.array(theta, dtype=np.float64, order="C")
+        if theta.ndim not in (1, 2) or theta.shape[-1] != arch.param_count:
+            raise ValueError(f"theta has shape {theta.shape}, expected "
+                             f"({arch.param_count},) or (K, {arch.param_count})")
         self.arch = arch
-        self.theta = np.concatenate([w.reshape(lead + (-1,)) for w in weights],
-                                    axis=-1)
-        self.weights = _layer_views(arch, self.theta)
+        self.theta = theta
+        self.weights = _layer_views(arch, theta)
         self._act = arch.act()
 
     def __reduce__(self):
-        return VelocityNet, (self.arch, self.weights)
+        return VelocityNet, (self.arch, self.theta)
 
     @classmethod
     def init(cls, arch: NetArchitecture, rng: RngStream) -> "VelocityNet":
         """Weights uniform in [-V/fan_in, V/fan_in], biases 0; feasible by construction."""
-        dims = arch.layer_dims
+        net = cls.zeros(arch)
         v = arch.l1_budget
-        weights = []
-        for k in range(len(dims) - 1):
-            fan_in = dims[k]
-            w = rng.gen.uniform(-v / fan_in, v / fan_in, size=(dims[k + 1], fan_in))
-            weights.append(np.concatenate([w, np.zeros((dims[k + 1], 1))], axis=1))
-        return cls(arch, weights)
+        for w in net.weights:
+            fan_in = w.shape[1] - 1
+            w[:, :-1] = rng.gen.uniform(-v / fan_in, v / fan_in, size=(w.shape[0], fan_in))
+        return net
 
     @classmethod
     def zeros(cls, arch: NetArchitecture) -> "VelocityNet":
-        return cls.from_theta(arch, np.zeros(arch.param_count))
-
-    @classmethod
-    def from_theta(cls, arch: NetArchitecture, theta: np.ndarray) -> "VelocityNet":
-        """One net from a (P,) parameter vector, or a stack from (K, P) (copied)."""
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape[-1:] != (arch.param_count,):
-            raise ValueError("theta has the wrong length")
-        return cls(arch, _layer_views(arch, theta))
+        return cls(arch, np.zeros(arch.param_count))
 
     @classmethod
     def stack(cls, nets) -> "VelocityNet":
@@ -233,17 +204,16 @@ class VelocityNet:
         if not nets or any(net.theta.ndim != 1 or net.arch != nets[0].arch
                            for net in nets):
             raise ValueError("stack needs single nets of one architecture")
-        return cls(nets[0].arch,
-                   [np.stack(ws) for ws in zip(*(net.weights for net in nets))])
+        return cls(nets[0].arch, [net.theta for net in nets])
 
     def member(self, i: int) -> "VelocityNet":
         """Member i of a stack as a single net (a copy)."""
         if self.theta.ndim != 2:
             raise ValueError("member() needs a stack of nets")
-        return VelocityNet(self.arch, [w[i] for w in self.weights])
+        return VelocityNet(self.arch, self.theta[i])
 
     def copy(self) -> "VelocityNet":
-        return VelocityNet(self.arch, self.weights)
+        return VelocityNet(self.arch, self.theta)
 
     # -- parameter vector view ------------------------------------------------
 
@@ -379,7 +349,7 @@ def save_checkpoint(net: VelocityNet, path, seed: int, step: int,
                     extra: dict | None = None) -> None:
     header = {
         "format": CHECKPOINT_FORMAT,
-        "arch": net.arch.to_json(),
+        "arch": dataclasses.asdict(net.arch),
         "param_count": net.param_count,
         "seed": int(seed),
         "step": int(step),
@@ -400,8 +370,8 @@ def load_checkpoint(path) -> tuple[VelocityNet, dict]:
     fmt = header.get("format") if isinstance(header, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format: {fmt!r}")
-    arch = NetArchitecture.from_json(header["arch"])
-    theta = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    arch = NetArchitecture(**header["arch"])
+    theta = np.frombuffer(blob, dtype="<f8")
     if theta.size != header["param_count"] or theta.size != arch.param_count:
         raise ValueError("checkpoint parameter block has the wrong length")
-    return VelocityNet.from_theta(arch, theta), header
+    return VelocityNet(arch, theta), header

@@ -1,5 +1,5 @@
-"""ODE transport by explicit Euler, trajectory bookkeeping, one-step sampling,
-and the reflow loop.
+"""ODE transport by explicit Euler (one step is one-step sampling), trajectory
+bookkeeping, and the reflow loop.
 
 Euler only, by design: the few-step behavior under the crudest integrator is
 itself an object of study here, and higher-order schemes would blur it.
@@ -70,13 +70,6 @@ def euler_integrate(field, z0, steps: int, record: bool = False):
     z1 = z[0] if single else z
     traj = FlowTrajectory(times, states) if record else None
     return z1, traj
-
-
-def one_step_sample(field, z0):
-    """Single Euler step from t = 0: z0 + field(z0, 0)."""
-    z, t, single = as_field_input(z0)
-    out = z + field(z, t)
-    return out[0] if single else out
 
 
 def chord_deviations(traj: FlowTrajectory) -> np.ndarray:

@@ -147,12 +147,12 @@ def train(net: VelocityNet, data: CoupledBatch, cfg: TrainConfig):
         net.project_constraints()
         if k % cfg.record_every == 0 or k == cfg.steps - 1:
             full = np.reshape(net.loss(data), -1)
-            members = [net.member(i) for i in range(K)] if lead else [net]
             rec_step.append(k)
             rec_loss.append(full)
             rec_gnorm.append([float(np.linalg.norm(gi)) for gi in g.reshape(K, -1)])
             rec_eta.append(eta)
-            rec_row.append([m.max_row_l1() for m in members])
+            row_l1 = [np.abs(w).sum(-1).max(-1) for w in net.weights]  # layer x member
+            rec_row.append(np.reshape(np.max(row_l1, axis=0), -1))
             for i in range(K):
                 if i not in errors and (not math.isfinite(full[i]) or full[i] > ceiling[i]):
                     fail(i, DivergenceError(

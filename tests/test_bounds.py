@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -270,7 +271,6 @@ def test_inputs_from_architecture():
     assert inp.L_ell == 20.0                # 2 (M0 + M_disp) = 2 (4 + 6)
     assert inp.V == 4.0 and inp.b == 1.0 and inp.D == 2 and inp.L_phi == 1.0
     assert inp.with_n(2048).n == 2048
-    assert inp.to_json()["P"] == arch.param_count
 
 
 # -- empirical rademacher estimate ---------------------------------------------------------
@@ -448,6 +448,6 @@ def test_full_report_coherent():
     assert rep.n_required == sample_size(inp)
     assert rep.stat_bound == stat_bound(inp)
     assert isinstance(rep.truncation, TruncationReport)
-    js = rep.to_json()
+    js = dataclasses.asdict(rep)
     assert js["inputs"]["P"] == 10
     assert js["truncation"]["delta_n"] == rep.truncation.delta_n

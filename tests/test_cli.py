@@ -16,7 +16,7 @@ from rflab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from rflab.distributions import DistributionSpec
 from rflab.linalg_rng import RngStream
 from rflab.network import NetArchitecture, VelocityNet, save_checkpoint
-from rflab.sampler import euler_integrate, one_step_sample
+from rflab.sampler import euler_integrate
 
 
 def _write_config(tmp_path, obj, name="config.json"):
@@ -69,13 +69,20 @@ def test_unknown_task_names_the_field(tmp_path, capsys):
     assert "field 'task'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seed", [-3, 2 ** 64, 1.5])
-def test_bad_seed_rejected(tmp_path, capsys, seed):
+@pytest.mark.parametrize("seed,flag", [(-3, None), (2 ** 64, None),
+                                       (1.5, None), (0, "-1")],
+                         ids=["-3", str(2 ** 64), "1.5", "flag"])
+def test_bad_seed_rejected(tmp_path, capsys, seed, flag):
+    # a bad --seed is reported as the flag, not as the config field
     cfg = _write_config(tmp_path, {"seed": seed})
-    code = main(["--config", cfg, "--out", str(tmp_path / "out"),
-                 "gradcheck"])
+    code = main(["--config", cfg, *(["--seed", flag] if flag else []),
+                 "--out", str(tmp_path / "out"), "gradcheck"])
     assert code == EXIT_CONFIG
-    assert "field 'seed'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if flag:
+        assert "config error: --seed must" in err and "field" not in err
+    else:
+        assert "field 'seed'" in err
 
 
 def test_endpoint_dimension_mismatch(tmp_path, capsys):
@@ -121,6 +128,63 @@ def test_sweep_grid_validation(tmp_path, capsys, grid, fragment):
     code = main(["--config", cfg, "--out", str(tmp_path / "out"), "sweep"])
     assert code == EXIT_CONFIG
     assert fragment in capsys.readouterr().err
+
+
+_SWEEP_BLOCK = {"grid": [32, 64, 128, 256, 1024], "trials": 1, "epochs": 1,
+                "proxy_n": 256, "proxy_epochs": 1, "proxy_batch": 64,
+                "eval_samples": 64, "euler_steps": 4}
+_LOWERBOUND_BLOCK = {"R": 10.0, "epsilon": 0.1}
+_TRAIN_BLOCK = {"n_samples": 64, "batch_size": 32, "steps": 4}
+
+# config, command, the field the message must name; each of these exited 0,
+# exited 3, escaped as a traceback or created the output directory before
+_CONFIG_PROBES = {
+    "sweep-trails": ({"sweep": {**_SWEEP_BLOCK, "trails": 1}}, "sweep",
+                     "unknown field 'sweep.trails'"),
+    "sweep-steps-exponet": ({"sweep": {**_SWEEP_BLOCK, "steps_exponet": 1.5}},
+                            "sweep", "unknown field 'sweep.steps_exponet'"),
+    "sweep-trials-abc": ({"sweep": {**_SWEEP_BLOCK, "trials": "abc"}}, "sweep",
+                         "field 'sweep.trials' must be an integer"),
+    "sweep-grid-text": ({"sweep": {**_SWEEP_BLOCK, "grid": [32, "x"]}},
+                        "sweep", "field 'sweep.grid' must be an integer"),
+    "sweep-not-an-object": ({"sweep": [1]}, "sweep",
+                            "field 'sweep' must be a JSON object"),
+    "arch-hiden": ({"train": _TRAIN_BLOCK, "arch": {"hiden": [4]}}, "train",
+                   "unknown field 'arch.hiden'"),
+    "arch-l1-budjet": ({"train": _TRAIN_BLOCK, "arch": {"l1_budjet": 2.0}},
+                       "train", "unknown field 'arch.l1_budjet'"),
+    "top-level-trian": ({"trian": _TRAIN_BLOCK}, "train",
+                        "unknown field 'trian'"),
+    "train-stpes": ({"train": {**_TRAIN_BLOCK, "stpes": 4}}, "train",
+                    "unknown field 'train.stpes'"),
+    "pi0-sd": ({"pi0": {"kind": "gaussian", "mean": [0.0], "std": 1.0,
+                        "sd": 2.0}}, "gradcheck", "unknown field 'pi0.sd'"),
+    "pi1-not-an-object": ({"pi1": 5}, "gradcheck",
+                          "field 'pi1' must be a JSON object"),
+    "lowerbound-grid-m": ({"lowerbound": {**_LOWERBOUND_BLOCK, "grid_m": 5}},
+                          "lowerbound", "unknown field 'lowerbound.grid_m'"),
+    "lowerbound-m-x": ({"lowerbound": {**_LOWERBOUND_BLOCK, "m": "x"}},
+                       "lowerbound", "field 'lowerbound.m' must be an integer"),
+    "bounds-sigma-x": ({"bounds": {"P": 4, "n": 20000, "B": 0.02, "L_ell": 1.0,
+                                   "mu": 1.0, "L_theta": 1.0, "sigma": "x"}},
+                       "bounds", "field 'bounds.sigma' must be a number"),
+    "out-dir-number": ({"out_dir": 5}, "gradcheck",
+                       "field 'out_dir' must be a string"),
+}
+
+
+@pytest.mark.parametrize("obj,command,message", _CONFIG_PROBES.values(),
+                         ids=_CONFIG_PROBES.keys())
+def test_config_typos_exit_config_before_any_work(tmp_path, capsys, obj,
+                                                  command, message):
+    cfg = _write_config(tmp_path, obj)
+    out = tmp_path / "out"
+    # out_dir is only read when --out is absent
+    flags = [] if "out_dir" in obj else ["--out", str(out)]
+    code = main(["--config", cfg, *flags, command])
+    assert code == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lowerbound_block_requires_R(tmp_path, capsys):
@@ -261,7 +325,7 @@ def test_sample_single_step_matches_one_step_sample(tmp_path):
     got = _samples_matrix(out / "samples.csv")
     pi0 = DistributionSpec(kind="gaussian", dim=1, mean=np.zeros(1), std=1.0)
     z0 = pi0.sample(RngStream(11).derive(5), 16)
-    assert np.array_equal(got, one_step_sample(net, z0))
+    assert np.array_equal(got, z0 + net(z0, 0.0))
 
 
 def test_sample_trajectories_table(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pickle
@@ -112,10 +113,66 @@ def test_architecture_validation():
 
 def test_architecture_json_roundtrip():
     a = _arch(dim=2, hidden=(4, 3), activation="softplus_clamped", V=5.0, b=2.0)
-    assert NetArchitecture.from_json(a.to_json()) == a
+    assert NetArchitecture(**json.loads(json.dumps(dataclasses.asdict(a)))) == a
+    # JSON gives a list of widths and may give integer budgets; the
+    # checkpoint header prints the budget and the bound as floats
+    b = NetArchitecture(dim=1, hidden=[3], l1_budget=4, act_bound=1)
+    assert b.hidden == (3,)
+    assert json.dumps(dataclasses.asdict(b), sort_keys=True) == (
+        '{"act_bound": 1.0, "activation": "tanh", "dim": 1, "hidden": [3], '
+        '"l1_budget": 4.0}')
 
 
 # -- initialization and constraints --------------------------------------------------
+
+
+def _init_by_concatenation(arch, rng):
+    """The per-layer construction VelocityNet.init replaced: each layer's
+    uniform weights with a zero bias column appended, the layers
+    concatenated into theta."""
+    dims = arch.layer_dims
+    v = arch.l1_budget
+    layers = []
+    for k in range(len(dims) - 1):
+        fan_in = dims[k]
+        w = rng.gen.uniform(-v / fan_in, v / fan_in, size=(dims[k + 1], fan_in))
+        layers.append(np.concatenate([w, np.zeros((dims[k + 1], 1))], axis=1))
+    return np.concatenate([w.reshape(-1) for w in layers])
+
+
+@pytest.mark.parametrize("arch", [
+    _arch(dim=1, hidden=(4,)),
+    _arch(dim=2, hidden=(3, 5), activation="sigmoid"),
+    _arch(dim=2, hidden=(6,), activation="softplus_clamped", b=1.5),
+], ids=["tanh", "sigmoid", "softplus"])
+def test_init_matches_the_concatenation_construction(arch):
+    net = VelocityNet.init(arch, RngStream(41))
+    assert (net.theta == _init_by_concatenation(arch, RngStream(41))).all()
+
+
+def test_constructor_copies_one_buffer_of_one_or_k_nets():
+    arch = _arch(dim=2, hidden=(4, 3))
+    p = arch.param_count
+    theta = np.arange(3 * p, dtype=np.float64).reshape(3, p)
+    for buf in (theta[1], theta, theta.tolist()):
+        net = VelocityNet(arch, buf)
+        assert net.theta.shape == np.shape(buf)
+        assert (net.theta == buf).all()
+        assert not np.shares_memory(net.theta, theta)
+        assert all(np.shares_memory(w, net.theta) for w in net.weights)
+    net = VelocityNet(arch, theta[1])
+    theta[1, 0] = -5.0
+    assert net.theta[0] == p and net.weights[0][0, 0] == p
+    # a column-major or strided buffer is laid out row-major afresh, so the
+    # layer views still alias theta
+    for buf in (np.asfortranarray(theta), np.zeros((3, 2 * p))[:, ::2]):
+        net = VelocityNet(arch, buf)
+        assert (net.theta == buf).all() and net.theta.flags.c_contiguous
+        assert all(np.shares_memory(w, net.theta) for w in net.weights)
+    for bad in (np.zeros((2, 3, p)), np.zeros(p - 1), np.zeros((2, p + 1)),
+                np.zeros(())):
+        with pytest.raises(ValueError, match="theta has shape"):
+            VelocityNet(arch, bad)
 
 
 def test_init_is_feasible_with_zero_biases():

@@ -7,8 +7,8 @@ from rflab.distributions import DistributionSpec
 from rflab.linalg_rng import RngStream
 from rflab.network import NetArchitecture, VelocityNet
 from rflab.sampler import (MAX_REFLOW_ROUNDS, FlowTrajectory, ReflowState,
-                           chord_deviations, euler_integrate, one_step_sample,
-                           reflow, straightness)
+                           chord_deviations, euler_integrate, reflow,
+                           straightness)
 from rflab.training import TrainConfig
 
 
@@ -85,8 +85,6 @@ def test_euler_rejects_bad_inputs():
         euler_integrate(lambda z, t: z, np.array([[np.nan]]), 3)
     with pytest.raises(ValueError):
         euler_integrate(lambda z, t: z, np.zeros((2, 2, 2)), 3)
-    with pytest.raises(ValueError):
-        one_step_sample(lambda z, t: z, np.zeros((2, 2, 2)))
 
 
 def test_euler_raises_on_divergence():
@@ -99,14 +97,14 @@ def test_euler_raises_on_divergence():
 
 
 def test_one_step_equals_single_step_integration():
-    field = lambda z, t: z * 2.0 + 1.0
+    # the step is exactly 1.0, so one step is z0 + field(z0, 0) bit for bit
+    field = lambda z, t: z * 2.0 + 1.0 + t[:, None] / 3.0
     z0 = np.array([[0.5], [-1.0]])
-    direct = one_step_sample(field, z0)
     via_euler, _ = euler_integrate(field, z0, 1)
-    assert np.allclose(direct, via_euler, atol=1e-15)
-    single = one_step_sample(field, np.array([0.5]))
+    assert np.array_equal(via_euler, z0 + field(z0, np.zeros(2)))
+    single, _ = euler_integrate(field, np.array([0.5]), 1)
     assert single.shape == (1,)
-    assert np.allclose(single, direct[0])
+    assert np.array_equal(single, via_euler[0])
 
 
 # -- straightness ---------------------------------------------------------------------
