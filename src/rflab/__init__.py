@@ -6,4 +6,15 @@ generalization-bound evaluators, and two-sample transport metrics. Everything is
 seed-addressed and reproducible; see the cli module for the command surface.
 """
 
+import ctypes
+
 __version__ = "0.1.0"
+
+# glibc's adaptive malloc thresholds made run time depend on the heap layout
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    _mallopt(-3, 1 << 20)   # M_MMAP_THRESHOLD: 1 MiB
+    _mallopt(-1, 2 << 20)   # M_TRIM_THRESHOLD: 2 MiB
+except (AttributeError, OSError, TypeError):   # no mallopt in this libc
+    pass

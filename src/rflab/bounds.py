@@ -30,16 +30,16 @@ class VacuousRegimeError(ValueError):
 class BoundInputs:
     """Constants feeding the bound formulas.
 
-    x_conf defaults to log(2/delta); pass a value to override the confidence
-    exponent directly.
+    B defaults to bernstein_B(L_theta, mu) and x_conf to log(2/delta); pass a
+    value to override either directly.
     """
 
     P: int
     n: int
-    B: float
     L_ell: float
     mu: float
     L_theta: float
+    B: float | None = None
     b: float = 1.0
     V: float = 4.0
     L_phi: float = 1.0
@@ -50,6 +50,8 @@ class BoundInputs:
     x_conf: float | None = None
 
     def __post_init__(self):
+        if self.B is None:
+            object.__setattr__(self, "B", bernstein_B(self.L_theta, self.mu))
         for name in ("P", "n", "B", "L_ell", "mu", "L_theta", "b", "V",
                      "L_phi", "C_univ", "epsilon"):
             if not (getattr(self, name) > 0):
@@ -68,10 +70,8 @@ class BoundInputs:
                           **kw) -> "BoundInputs":
         rep = lipschitz_report(arch, m_disp=m_disp)
         return cls(
-            P=arch.param_count, n=n,
-            B=bernstein_B(rep.param_lipschitz, mu),
-            L_ell=rep.loss_lipschitz, mu=mu, L_theta=rep.param_lipschitz,
-            b=arch.act_bound, V=arch.l1_budget,
+            P=arch.param_count, n=n, L_ell=rep.loss_lipschitz, mu=mu,
+            L_theta=rep.param_lipschitz, b=arch.act_bound, V=arch.l1_budget,
             L_phi=arch.act().lipschitz, D=arch.depth, **kw)
 
     def with_n(self, n: int) -> "BoundInputs":

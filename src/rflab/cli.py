@@ -23,11 +23,12 @@ import math
 import multiprocessing
 import sys
 import time
+import typing
 
 import numpy as np
 
 from . import __version__
-from .bounds import BoundInputs, VacuousRegimeError, bernstein_B, full_report
+from .bounds import BoundInputs, VacuousRegimeError, full_report
 from .distributions import CoupledBatch, DistributionSpec, draw_coupled
 from .linalg_rng import RngStream, splitmix64
 from .metrics import ASSIGNMENT_CAP, excess_risk, fit_rate, w2_empirical
@@ -54,24 +55,17 @@ class ConfigError(ValueError):
 
 
 def _number(kind, value, field: str):
-    """kind(value) for kind int or float; a value it cannot take is a config
-    error that names the field."""
+    """kind(value) for kind int or float; a value it cannot take or would
+    change (4.5 for an int) is a config error that names the field."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, float) and number != value:
         raise ConfigError(f"field '{field}' must be "
                           f"{'an integer' if kind is int else 'a number'}, "
-                          f"not {value!r}") from None
-
-
-def _field(obj: dict, name: str, default=None, required: bool = False,
-           prefix: str = "", kind=None):
-    """obj[name], converted by kind when given, or default when absent."""
-    if name not in obj:
-        if required:
-            raise ConfigError(f"missing field '{prefix}{name}'")
-        return default
-    return obj[name] if kind is None else _number(kind, obj[name], prefix + name)
+                          f"not {value!r}")
+    return number
 
 
 def _block(obj: dict, name: str, names, default=None):
@@ -88,8 +82,32 @@ def _block(obj: dict, name: str, names, default=None):
     return blk
 
 
-def _names(cls) -> list[str]:
-    return [f.name for f in dataclasses.fields(cls)]
+_NUMBER_KINDS = {int: int, float: float, float | None: float}
+
+
+def _typed(cls, obj: dict, name: str, base: dict | None = None, extra=()):
+    """Config block `name` over the values in base, built into a cls (None when
+    the block is absent); the caller reads its `extra` keys. Int and float
+    fields go through _number by annotation (an optional None stays None); a
+    missing field or a value the constructor rejects is a config error too."""
+    hints = typing.get_type_hints(cls)
+    blk = _block(obj, name, [*hints, *extra])
+    if blk is None:
+        return None
+    args = {k: v for k, v in {**(base or {}), **blk}.items() if k not in extra}
+    for f in dataclasses.fields(cls):
+        kind = _NUMBER_KINDS.get(hints[f.name])
+        if f.name not in args:
+            if f.default is f.default_factory is dataclasses.MISSING:
+                raise ConfigError(f"missing field '{name}.{f.name}'")
+        elif kind and not (args[f.name] is None and hints[f.name] == float | None):
+            args[f.name] = _number(kind, args[f.name], f"{name}.{f.name}")
+    try:
+        return cls(**args)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"field '{name}': {e}") from None
 
 
 def _default_endpoints(task: str) -> tuple[dict, dict]:
@@ -123,24 +141,20 @@ class SweepSpec:
 
     def __post_init__(self):
         if not isinstance(self.grid, list):
-            raise ConfigError("field 'sweep.grid' must be a list")
+            raise ValueError("grid must be a list")
         self.grid = [_number(int, v, "sweep.grid") for v in self.grid]
         if len(self.grid) < 5:
-            raise ConfigError("field 'sweep.grid' needs >= 5 values")
+            raise ValueError("grid needs >= 5 values")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ConfigError("field 'sweep.grid' must be strictly ascending")
+            raise ValueError("grid must be strictly ascending")
         if math.log10(self.grid[-1] / self.grid[0]) < 1.5:
-            raise ConfigError("field 'sweep.grid' must span >= 1.5 decades")
+            raise ValueError("grid must span >= 1.5 decades")
         for name in ("trials", "epochs", "proxy_n", "proxy_epochs",
                      "proxy_batch", "eval_samples", "euler_steps"):
-            value = _number(int, getattr(self, name), f"sweep.{name}")
-            if value < 1:
-                raise ConfigError(f"field 'sweep.{name}' must be >= 1")
-            setattr(self, name, value)
-        self.steps_exponent = _number(float, self.steps_exponent,
-                                      "sweep.steps_exponent")
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not (1.0 <= self.steps_exponent <= 2.0):
-            raise ConfigError("field 'sweep.steps_exponent' must be in [1, 2]")
+            raise ValueError("steps_exponent must be in [1, 2]")
 
 
 def _sweep_steps(epochs: int, n: int, batch: int, exponent: float) -> int:
@@ -157,25 +171,18 @@ class Experiment:
     pi0: DistributionSpec
     pi1: DistributionSpec
     arch: NetArchitecture
-    train_block: dict
+    train: TrainConfig
     sweep: SweepSpec | None
-    bounds_block: dict | None
-    lowerbound_block: dict | None
+    bounds: BoundInputs | None
+    sigma: float | None
+    lowerbound: LowerBoundInstance | None
+    lowerbound_m: int | None
     sha: str
 
-    def train_config(self, **overrides) -> TrainConfig:
-        merged = {**self.train_block, **overrides}
-        try:
-            return TrainConfig(**merged)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"field 'train': {e}") from None
 
-
-_DEFAULT_TRAIN = {
-    "n_samples": 1024, "batch_size": 64, "steps": 480,
-    "schedule": "diminishing", "eta": 0.05, "c": 4.0, "gamma": 40.0,
-    "seed": 0, "record_every": 10,
-}
+# the train block's defaults where they differ from TrainConfig's
+_DEFAULT_TRAIN = {"n_samples": 1024, "batch_size": 64, "steps": 480,
+                  "record_every": 10}
 
 _TOP_FIELDS = ("task", "seed", "out_dir", "pi0", "pi1", "arch", "train",
                "sweep", "bounds", "lowerbound")
@@ -204,14 +211,14 @@ def load_experiment(config_path: str | None, seed_override: int | None = None,
     if unknown:
         raise ConfigError(f"unknown field '{unknown[0]}'")
 
-    task = _field(obj, "task", default="gaussian_1d")
+    task = obj.get("task", "gaussian_1d")
     if task not in _TASKS:
         raise ConfigError(f"field 'task' must be one of {_TASKS}")
-    seed = seed_override if seed_override is not None else _field(obj, "seed", 0)
+    seed = seed_override if seed_override is not None else obj.get("seed", 0)
     if not isinstance(seed, int) or not (0 <= seed < 2 ** 64):
         source = "--seed" if seed_override is not None else "field 'seed'"
         raise ConfigError(f"{source} must be an unsigned 64-bit integer")
-    out_dir = out_override or _field(obj, "out_dir", "out")
+    out_dir = out_override or obj.get("out_dir", "out")
     if not isinstance(out_dir, str):
         raise ConfigError("field 'out_dir' must be a string")
 
@@ -224,36 +231,34 @@ def load_experiment(config_path: str | None, seed_override: int | None = None,
     if pi0.dim != pi1.dim:
         raise ConfigError("field 'pi0'/'pi1': dimensions differ")
 
-    arch_obj = _block(obj, "arch", _names(NetArchitecture), {})
-    try:
-        arch = NetArchitecture(**{"hidden": (8,), "dim": pi0.dim, **arch_obj})
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"field 'arch': {e}") from None
+    obj = {"arch": {}, "train": {}, **obj}   # built from defaults when absent
+    arch = _typed(NetArchitecture, obj, "arch",
+                  {"hidden": (8,), "dim": pi0.dim})
     if arch.dim != pi0.dim:
         raise ConfigError("field 'arch.dim' must match the endpoint dimension")
+    train = dataclasses.replace(
+        _typed(TrainConfig, obj, "train", _DEFAULT_TRAIN), seed=seed)
 
-    train_block = {**_DEFAULT_TRAIN,
-                   **_block(obj, "train", _names(TrainConfig), {})}
-    train_block["seed"] = seed
+    sweep = _typed(SweepSpec, obj, "sweep")
+    # in d >= 2 each cell's W2 goes through the capped assignment route, so
+    # scoring would fail after every cell had trained
+    if sweep and pi0.dim >= 2 and sweep.eval_samples > ASSIGNMENT_CAP:
+        raise ConfigError(
+            f"field 'sweep.eval_samples' must be <= {ASSIGNMENT_CAP} "
+            f"in d >= 2 (the exact W2 assignment is capped there)")
 
-    sweep = _block(obj, "sweep", _names(SweepSpec))
-    if sweep is not None:
-        if "grid" not in sweep:
-            raise ConfigError("missing field 'sweep.grid'")
-        sweep = SweepSpec(**sweep)
-        # in d >= 2 each cell's W2 goes through the capped assignment route,
-        # so scoring would fail after every cell had trained
-        if pi0.dim >= 2 and sweep.eval_samples > ASSIGNMENT_CAP:
-            raise ConfigError(
-                f"field 'sweep.eval_samples' must be <= {ASSIGNMENT_CAP} "
-                f"in d >= 2 (the exact W2 assignment is capped there)")
+    bounds = _typed(BoundInputs, obj, "bounds", extra=("sigma",))
+    sigma = None if bounds is None else _number(
+        float, obj["bounds"].get("sigma", 1.0), "bounds.sigma")
+    lowerbound = _typed(LowerBoundInstance, obj, "lowerbound",
+                        {"sigma": 1.0}, extra=("m",))
+    m = None if lowerbound is None else _number(int, obj["lowerbound"].get(
+        "m", max(1, int(0.5 / lowerbound.eta))), "lowerbound.m")
 
     return Experiment(
         task=task, seed=seed, out_dir=out_dir, pi0=pi0, pi1=pi1, arch=arch,
-        train_block=train_block, sweep=sweep,
-        bounds_block=_block(obj, "bounds", [*_names(BoundInputs), "sigma"]),
-        lowerbound_block=_block(obj, "lowerbound",
-                                [*_names(LowerBoundInstance), "m"]),
+        train=train, sweep=sweep, bounds=bounds, sigma=sigma,
+        lowerbound=lowerbound, lowerbound_m=m,
         sha=hashlib.sha256(raw_bytes).hexdigest())
 
 
@@ -331,26 +336,25 @@ def _ensure_out(exp: Experiment) -> str:
 
 
 def cmd_train(exp: Experiment, args) -> int:
-    cfg = exp.train_config()
     out = _ensure_out(exp)
     root = RngStream(exp.seed)
-    data = draw_coupled(root.derive(1), exp.pi0, exp.pi1, cfg.n_samples)
+    data = draw_coupled(root.derive(1), exp.pi0, exp.pi1, exp.train.n_samples)
     net = VelocityNet.init(exp.arch, root.derive(2))
-    trace = train(net, data, cfg)
+    trace = train(net, data, exp.train)
     save_checkpoint(net, os.path.join(out, "checkpoint.bin"), seed=exp.seed,
-                    step=cfg.steps,
+                    step=exp.train.steps,
                     extra={"config_sha256": exp.sha, "version": __version__})
     write_csv(os.path.join(out, "trace.csv"), exp,
               ["step", "loss", "grad_norm", "eta", "max_row_l1"],
               [trace.step, trace.loss, trace.grad_norm, trace.eta,
                trace.max_row_l1])
     write_json(os.path.join(out, "train_summary.json"), exp, {
-        "task": exp.task, "seed": exp.seed, "n_samples": cfg.n_samples,
-        "steps": cfg.steps, "initial_loss": trace.initial_loss,
+        "task": exp.task, "seed": exp.seed, "n_samples": exp.train.n_samples,
+        "steps": exp.train.steps, "initial_loss": trace.initial_loss,
         "final_loss": trace.final_loss,
         "param_count": exp.arch.param_count})
     print(f"train: final loss {trace.final_loss:.6g} "
-          f"({cfg.steps} steps, n={cfg.n_samples})")
+          f"({exp.train.steps} steps, n={exp.train.n_samples})")
     return EXIT_OK
 
 
@@ -381,7 +385,6 @@ def _sample_flags(exp: Experiment, args) -> tuple[VelocityNet, dict]:
 
 def cmd_sample(exp: Experiment, args) -> int:
     net, header = _sample_flags(exp, args)
-    cfg = exp.train_config() if args.reflow else None
     out = _ensure_out(exp)
     root = RngStream(exp.seed)
     rounds = []
@@ -389,7 +392,7 @@ def cmd_sample(exp: Experiment, args) -> int:
         state = ReflowState(round_index=0, net=net)
         for r in range(args.reflow + 1):
             if r:
-                state = reflow(state, exp.pi0, cfg.n_samples, cfg,
+                state = reflow(state, exp.pi0, exp.train.n_samples, exp.train,
                                root.derive(4), integrate_steps=args.steps)
             _, traj = euler_integrate(
                 state.net, exp.pi0.sample(root.derive(3),
@@ -460,10 +463,11 @@ def _run_group(job: _SweepJob, n: int) -> list:
                                for s in streams])
     net = VelocityNet.stack([VelocityNet.init(exp.arch, s.derive(2))
                              for s in streams])
-    batch = min(exp.train_block["batch_size"], n)
+    batch = min(exp.train.batch_size, n)
     steps = _sweep_steps(sw.epochs, n, batch, sw.steps_exponent)
-    cfg = exp.train_config(n_samples=n, batch_size=batch, steps=steps,
-                           seed=seeds, record_every=max(1, steps))
+    cfg = dataclasses.replace(exp.train, n_samples=n, batch_size=batch,
+                              steps=steps, seed=seeds,
+                              record_every=max(1, steps))
     outcomes = train(net, data, cfg)
     train_ms = 1000.0 * (time.perf_counter() - t0) / sw.trials
 
@@ -507,16 +511,15 @@ def _train_proxy(exp: Experiment) -> VelocityNet:
     net = VelocityNet.init(exp.arch, root.derive(2))
     batch = min(sw.proxy_batch, sw.proxy_n)
     steps = _sweep_steps(sw.proxy_epochs, sw.proxy_n, batch, sw.steps_exponent)
-    cfg = exp.train_config(n_samples=sw.proxy_n, batch_size=batch,
-                           steps=steps, seed=splitmix64(exp.seed ^ 0x70),
-                           record_every=max(1, steps))
+    cfg = dataclasses.replace(exp.train, n_samples=sw.proxy_n,
+                              batch_size=batch, steps=steps,
+                              seed=splitmix64(exp.seed ^ 0x70),
+                              record_every=max(1, steps))
     train(net, data, cfg)
     return net
 
 
 def cmd_sweep(exp: Experiment, args) -> int:
-    if exp.sweep is None:
-        raise ConfigError("missing field 'sweep'")
     out = _ensure_out(exp)
     sw = exp.sweep
 
@@ -579,19 +582,8 @@ def cmd_sweep(exp: Experiment, args) -> int:
 
 
 def cmd_bounds(exp: Experiment, args) -> int:
-    if exp.bounds_block is None:
-        raise ConfigError("missing field 'bounds'")
-    blk = dict(exp.bounds_block)
-    sigma = _number(float, blk.pop("sigma", 1.0), "bounds.sigma")
-    if "B" not in blk and "L_theta" in blk and "mu" in blk:
-        blk["B"] = bernstein_B(_number(float, blk["L_theta"], "bounds.L_theta"),
-                               _number(float, blk["mu"], "bounds.mu"))
-    try:
-        inputs = BoundInputs(**blk)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"field 'bounds': {e}") from None
     out = _ensure_out(exp)
-    rep = full_report(inputs, sigma=sigma)
+    rep = full_report(exp.bounds, sigma=exp.sigma)
     payload = dataclasses.asdict(rep)
     payload["const_product_705_288"] = 705 * 288
     write_json(os.path.join(out, "bounds.json"), exp, payload)
@@ -610,18 +602,7 @@ def cmd_bounds(exp: Experiment, args) -> int:
 
 
 def cmd_lowerbound(exp: Experiment, args) -> int:
-    if exp.lowerbound_block is None:
-        raise ConfigError("missing field 'lowerbound'")
-    num = functools.partial(_field, exp.lowerbound_block, kind=float,
-                            prefix="lowerbound.")
-    sigma, c_interval = num("sigma", 1.0), num("c_interval", 1.0)
-    R, epsilon = num("R", required=True), num("epsilon", required=True)
-    try:
-        inst = LowerBoundInstance(sigma=sigma, R=R, epsilon=epsilon,
-                                  c_interval=c_interval)
-    except ValueError as e:
-        raise ConfigError(f"field 'lowerbound': {e}") from None
-    m = num("m", max(1, int(0.5 / inst.eta)), kind=int)
+    inst, m = exp.lowerbound, exp.lowerbound_m
     out = _ensure_out(exp)
 
     lc = lecam_budget(inst, m)
@@ -743,6 +724,9 @@ def main(argv=None) -> int:
     try:
         exp = load_experiment(args.config, seed_override=args.seed,
                               out_override=args.out)
+        # sweep, bounds and lowerbound need the config block of their name
+        if getattr(exp, args.command, True) is None:
+            raise ConfigError(f"missing field '{args.command}'")
         return _DISPATCH[args.command](exp, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -118,24 +118,29 @@ class DistributionSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DistributionSpec":
+        """The spec of a config block; a given `dim` must be its data's width."""
         kind = obj.get("kind")
         sigma = obj.get("subgaussian_sigma")
         if kind == "gaussian":
             mean = np.asarray(obj["mean"], dtype=np.float64).reshape(-1)
-            return cls(kind, mean.size, mean=mean, std=float(obj["std"]),
+            spec = cls(kind, mean.size, mean=mean, std=float(obj["std"]),
                        subgaussian_sigma=sigma)
-        if kind == "gaussian_mixture":
+        elif kind == "gaussian_mixture":
             comps = [
                 (float(c["weight"]), np.asarray(c["mean"], dtype=np.float64).reshape(-1),
                  float(c["std"]))
                 for c in obj["components"]
             ]
-            return cls(kind, comps[0][1].size, components=comps, subgaussian_sigma=sigma)
-        if kind == "empirical":
+            spec = cls(kind, comps[0][1].size, components=comps, subgaussian_sigma=sigma)
+        elif kind == "empirical":
             pts = np.asarray(obj["points"], dtype=np.float64)
             pts = pts.reshape(pts.shape[0], -1)
-            return cls(kind, pts.shape[1], points=pts, subgaussian_sigma=sigma)
-        raise ValueError(f"unknown distribution kind: {kind!r}")
+            spec = cls(kind, pts.shape[1], points=pts, subgaussian_sigma=sigma)
+        else:
+            raise ValueError(f"unknown distribution kind: {kind!r}")
+        if obj.get("dim", spec.dim) != spec.dim:
+            raise ValueError(f"dim {obj['dim']!r} is not the data's width {spec.dim}")
+        return spec
 
 
 def interpolate(x0: np.ndarray, x1: np.ndarray, t) -> np.ndarray:

@@ -87,7 +87,6 @@ class NetArchitecture:
     def __post_init__(self):
         # JSON gives lists and may give integers for the float fields; the
         # checkpoint header must print the budget and bound as floats
-        object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         object.__setattr__(self, "l1_budget", float(self.l1_budget))
         object.__setattr__(self, "act_bound", float(self.act_bound))

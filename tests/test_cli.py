@@ -134,6 +134,9 @@ _SWEEP_BLOCK = {"grid": [32, 64, 128, 256, 1024], "trials": 1, "epochs": 1,
                 "proxy_n": 256, "proxy_epochs": 1, "proxy_batch": 64,
                 "eval_samples": 64, "euler_steps": 4}
 _LOWERBOUND_BLOCK = {"R": 10.0, "epsilon": 0.1}
+_BOUNDS_BLOCK = {"P": 4, "n": 20000, "B": 0.02, "L_ell": 1.0, "mu": 1.0,
+                 "L_theta": 1.0}
+_DIM3_GAUSSIAN = {"kind": "gaussian", "dim": 3, "mean": [0.0], "std": 1.0}
 _TRAIN_BLOCK = {"n_samples": 64, "batch_size": 32, "steps": 4}
 
 # config, command, the field the message must name; each of these exited 0,
@@ -170,6 +173,19 @@ _CONFIG_PROBES = {
                        "bounds", "field 'bounds.sigma' must be a number"),
     "out-dir-number": ({"out_dir": 5}, "gradcheck",
                        "field 'out_dir' must be a string"),
+    "train-c-text": ({"train": {"c": "x"}, "sweep": _SWEEP_BLOCK}, "sweep",
+                     "field 'train.c' must be a number, not 'x'"),
+    "bounds-P-text": ({"bounds": {**_BOUNDS_BLOCK, "P": "x"}}, "bounds",
+                      "field 'bounds.P' must be an integer, not 'x'"),
+    "bounds-P-fraction": ({"bounds": {**_BOUNDS_BLOCK, "P": 4.5}}, "bounds",
+                          "field 'bounds.P' must be an integer, not 4.5"),
+    "pi0-dim-mismatch": ({"train": _TRAIN_BLOCK, "pi0": _DIM3_GAUSSIAN,
+                          "pi1": _DIM3_GAUSSIAN}, "train",
+                         "field 'pi0'/'pi1': dim 3 is not the data's width 1"),
+    # every block is checked at load, whichever command runs
+    "train-with-invalid-bounds": ({"train": _TRAIN_BLOCK,
+                                   "bounds": {**_BOUNDS_BLOCK, "P": 0}},
+                                  "train", "field 'bounds': P must be > 0"),
 }
 
 

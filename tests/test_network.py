@@ -1,12 +1,17 @@
 import dataclasses
 import json
 import math
+import os
 import pickle
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rflab
 from rflab.distributions import CoupledBatch, draw_coupled, DistributionSpec
 from rflab.linalg_rng import RngStream
 from rflab.network import (CHECKPOINT_FORMAT, NetArchitecture, VelocityNet,
@@ -532,3 +537,35 @@ def test_checkpoint_rejects_corruption(tmp_path):
     short.write_bytes(header + b"\n" + blob[:-8])
     with pytest.raises(ValueError, match="length"):
         load_checkpoint(short)
+
+
+# -- heap layout ---------------------------------------------------------------------
+
+_FAULT_PROBE = """
+import resource
+import numpy as np
+import rflab
+
+def churn(reps):
+    for _ in range(reps):
+        a, b = np.ones(40_000), np.ones(40_000)
+        del a, b
+
+churn(20)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+churn(200)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="glibc malloc thresholds")
+def test_import_rflab_stops_the_free_and_fault_cycle():
+    # two 320 KB buffers freed per pass, as in a stacked forward pass: under
+    # glibc's adaptive thresholds each pass handed them back to the kernel and
+    # faulted them in again (24,800 minor faults over these 200 passes)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(rflab.__file__)))
+    run = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert int(run.stdout) < 1000
