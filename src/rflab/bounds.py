@@ -265,7 +265,7 @@ class RademacherReport:
 
 def _per_sample_loss(net, batch) -> np.ndarray:
     """Per-sample squared residual: (n,), or (K, n) for a stack."""
-    res = net(batch.xt, batch.t) - batch.disp
+    res = net.residual(batch)
     return np.sum(res * res, axis=-1)
 
 
@@ -291,14 +291,15 @@ def _pull_to_ball(net, theta_ref: np.ndarray, ref_loss: np.ndarray, batch,
         return
     theta = net.theta[outside]
     sub = VelocityNet(net.arch, theta)
+    step = theta - theta_ref
     lo, hi = np.zeros(outside.size), np.ones(outside.size)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        sub.set_theta(theta_ref + mid[:, None] * (theta - theta_ref))
+        sub.set_theta(theta_ref + mid[:, None] * step)
         inside = _localization_sq(sub, ref_loss, batch, l_ell) <= r
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
-    net.theta[outside] = theta_ref + lo[:, None] * (theta - theta_ref)
+    net.theta[outside] = theta_ref + lo[:, None] * step
 
 
 def empirical_local_rademacher(sampler, net_ref, data, r: float,

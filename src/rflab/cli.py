@@ -236,8 +236,17 @@ def load_experiment(config_path: str | None, seed_override: int | None = None,
                   {"hidden": (8,), "dim": pi0.dim})
     if arch.dim != pi0.dim:
         raise ConfigError("field 'arch.dim' must match the endpoint dimension")
-    train = dataclasses.replace(
-        _typed(TrainConfig, obj, "train", _DEFAULT_TRAIN), seed=seed)
+    # a sweep sets n_samples per cell, so its train block is checked with
+    # n_samples unset (0); the default applies where the batch fits in it
+    per_cell = "sweep" in obj
+    train = dataclasses.replace(_typed(
+        TrainConfig, obj, "train",
+        {**_DEFAULT_TRAIN, "n_samples": 0} if per_cell else _DEFAULT_TRAIN),
+        seed=seed)
+    default_n = _DEFAULT_TRAIN["n_samples"]
+    if per_cell and "n_samples" not in obj["train"] \
+            and train.batch_size <= default_n:
+        train = dataclasses.replace(train, n_samples=default_n)
 
     sweep = _typed(SweepSpec, obj, "sweep")
     # in d >= 2 each cell's W2 goes through the capped assignment route, so
@@ -254,6 +263,8 @@ def load_experiment(config_path: str | None, seed_override: int | None = None,
                         {"sigma": 1.0}, extra=("m",))
     m = None if lowerbound is None else _number(int, obj["lowerbound"].get(
         "m", max(1, int(0.5 / lowerbound.eta))), "lowerbound.m")
+    if m is not None and m < 1:
+        raise ConfigError("field 'lowerbound.m' must be >= 1")
 
     return Experiment(
         task=task, seed=seed, out_dir=out_dir, pi0=pi0, pi1=pi1, arch=arch,
@@ -335,7 +346,16 @@ def _ensure_out(exp: Experiment) -> str:
 # -- train -----------------------------------------------------------------------
 
 
+def _check_n_samples(exp: Experiment) -> None:
+    """train and reflow draw one data set of train.n_samples rows, which a
+    sweep config leaves unset when its batch exceeds the default."""
+    if exp.train.n_samples < 1:
+        raise ConfigError("field 'train.n_samples' must be >= 1 "
+                          "(and at least train.batch_size)")
+
+
 def cmd_train(exp: Experiment, args) -> int:
+    _check_n_samples(exp)
     out = _ensure_out(exp)
     root = RngStream(exp.seed)
     data = draw_coupled(root.derive(1), exp.pi0, exp.pi1, exp.train.n_samples)
@@ -372,6 +392,8 @@ def _sample_flags(exp: Experiment, args) -> tuple[VelocityNet, dict]:
     if args.reflow and args.steps < 2:
         raise ConfigError("--steps must be >= 2 with --reflow (straightness "
                           "needs two steps)")
+    if args.reflow:
+        _check_n_samples(exp)
     try:
         net, header = load_checkpoint(args.checkpoint)
     except (OSError, ValueError, KeyError, TypeError) as e:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .distributions import CoupledBatch
 
@@ -49,6 +48,9 @@ def w2_empirical_assignment(a, b) -> float:
     if a.shape[0] > ASSIGNMENT_CAP:
         raise ValueError(
             f"assignment route is capped at n = {ASSIGNMENT_CAP}; subsample first")
+    # scipy costs about half a second to import; only this route needs it
+    from scipy.optimize import linear_sum_assignment
+
     diff = a[:, None, :] - b[None, :, :]
     cost = np.einsum("ijk,ijk->ij", diff, diff)
     rows, cols = linear_sum_assignment(cost)

@@ -281,11 +281,16 @@ class VelocityNet:
         out, _, _ = self._forward(xb, tb, keep=False)
         return out[..., 0, :] if single else out
 
+    def residual(self, batch: CoupledBatch) -> np.ndarray:
+        """v(xt, t) - disp on a batch, whose arrays are taken as built: (n, d),
+        or (K, n, d) for a stack or a stacked batch."""
+        out, _, _ = self._forward(batch.xt, batch.t, keep=False)
+        return out - batch.disp
+
     def loss(self, batch: CoupledBatch):
         """Batch-mean squared residual (1/n) sum ||v(xt,t) - disp||^2: a float,
         or a (K,) array for a stack or a stacked batch."""
-        out, _, _ = self._forward(batch.xt, batch.t, keep=False)
-        res = out - batch.disp
+        res = self.residual(batch)
         loss = np.mean(np.sum(res * res, axis=-1), axis=-1)
         return loss if loss.ndim else float(loss)
 

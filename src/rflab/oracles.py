@@ -14,7 +14,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .linalg_rng import RngStream, as_field_input
 
@@ -223,6 +222,9 @@ def tv_distance_mixtures(inst: LowerBoundInstance,
     The result must not exceed eta (the backgrounds cancel exactly); violation
     beyond quadrature tolerance is raised as an error.
     """
+    # scipy is imported on first use, so that only lowerbound pays for it
+    from scipy import integrate
+
     lo = -inst.R - 12.0 * inst.sigma
     hi = inst.R + 12.0 * inst.sigma
     val, err = integrate.quad(
@@ -248,6 +250,8 @@ class SeparationReport:
 
 def velocity_separation(inst: LowerBoundInstance, n_grid: int = 2001) -> SeparationReport:
     """Pointwise and pi_*-weighted separation of the two posterior velocities."""
+    from scipy import integrate
+
     lo, hi = inst.interval
     grid = np.linspace(lo, hi, n_grid)
     diff = np.abs(mixture_posterior_velocity(inst, 1, grid)

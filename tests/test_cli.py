@@ -186,6 +186,14 @@ _CONFIG_PROBES = {
     "train-with-invalid-bounds": ({"train": _TRAIN_BLOCK,
                                    "bounds": {**_BOUNDS_BLOCK, "P": 0}},
                                   "train", "field 'bounds': P must be > 0"),
+    "lowerbound-m-zero": ({"lowerbound": {**_LOWERBOUND_BLOCK, "m": 0}},
+                          "lowerbound", "field 'lowerbound.m' must be >= 1"),
+    "train-n-samples-zero": ({"train": {**_TRAIN_BLOCK, "n_samples": 0}},
+                             "train", "field 'train.n_samples' must be >= 1"),
+    # a sweep config may leave n_samples unset; train then needs it named
+    "train-on-sweep-config-big-batch": (
+        {"train": {"batch_size": 2048}, "sweep": _SWEEP_BLOCK}, "train",
+        "field 'train.n_samples' must be >= 1"),
 }
 
 
@@ -434,6 +442,26 @@ def test_sample_rejects_bad_flags_before_any_work(tmp_path, capsys, flags,
     assert code == EXIT_CONFIG
     assert f"config error: {flag}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sample_reflow_needs_n_samples_before_any_work(tmp_path, capsys):
+    # a sweep config whose batch exceeds the default leaves n_samples unset
+    ck = tmp_path / "net.bin"
+    save_checkpoint(VelocityNet.init(_default_arch(), RngStream(3)), str(ck),
+                    seed=3, step=0)
+    cfg = _write_config(tmp_path, {"train": {"batch_size": 2048},
+                                   "sweep": _SWEEP_BLOCK})
+    out = tmp_path / "out"
+    code = main(["--config", cfg, "--out", str(out), "sample",
+                 "--checkpoint", str(ck), "--reflow", "1", "--steps", "2"])
+    assert code == EXIT_CONFIG
+    assert "config error: field 'train.n_samples' must be >= 1" \
+        in capsys.readouterr().err
+    assert not out.exists()
+    # without reflow no data set is drawn, so n_samples is never read
+    assert main(["--config", cfg, "--out", str(out), "sample",
+                 "--checkpoint", str(ck), "--steps", "2",
+                 "--count", "4"]) == EXIT_OK
 
 
 def _bad_checkpoint(tmp_path, kind):
@@ -711,6 +739,32 @@ def test_sweep_cells_honour_the_train_block(tmp_path, monkeypatch):
                  "sweep"]) == EXIT_OK
     assert [n for n, _ in seen] == [512, 16, 32, 64, 128, 512]
     assert all(fields == (50.0, 0.5, 0.01) for _, fields in seen)
+
+
+def test_sweep_config_takes_a_batch_above_the_default_n_samples(tmp_path,
+                                                                monkeypatch):
+    # cells set n_samples and use min(batch_size, n), so the train block is
+    # checked with n_samples unset; the default stays where the batch fits
+    seen = []
+    real_train = cli.train
+
+    def spy_train(net, data, cfg):
+        seen.append((cfg.n_samples, cfg.batch_size))
+        return real_train(net, data, cfg)
+
+    monkeypatch.setattr(cli, "train", spy_train)
+    obj = {"train": {"batch_size": 2048},
+           "sweep": {**_SWEEP_BLOCK, "grid": [128, 256, 512, 1024, 4096]}}
+    cfg = _write_config(tmp_path, obj)
+    assert cli.load_experiment(cfg).train.n_samples == 0
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"),
+                 "sweep"]) == EXIT_OK
+    # the proxy first, then one group per n
+    assert seen == [(256, 64), (128, 128), (256, 256), (512, 512),
+                    (1024, 1024), (4096, 2048)]
+    obj["train"]["batch_size"] = 64
+    cfg = _write_config(tmp_path, obj)
+    assert cli.load_experiment(cfg).train.n_samples == 1024
 
 
 # -- bounds ------------------------------------------------------------------------

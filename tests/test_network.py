@@ -473,6 +473,19 @@ def test_loss_of_zero_net_is_mean_square_displacement():
     assert net.loss(batch) == pytest.approx(expect, rel=1e-12)
 
 
+def test_residual_is_the_call_minus_the_displacement():
+    # the Rademacher estimator reads residuals without re-checking its batch
+    arch = _arch(dim=2, hidden=(4,))
+    batch = _batch(2, 16, seed=6)
+    net = VelocityNet.init(arch, RngStream(1))
+    assert net.residual(batch).tobytes() \
+        == (net(batch.xt, batch.t) - batch.disp).tobytes()
+    stack = VelocityNet.stack([net, VelocityNet.init(arch, RngStream(2))])
+    res = stack.residual(batch)
+    assert res.shape == (2, 16, 2)
+    assert res.tobytes() == (stack(batch.xt, batch.t) - batch.disp).tobytes()
+
+
 def test_loss_and_grad_rejects_empty_batch():
     net = VelocityNet.zeros(_arch())
     empty = CoupledBatch(np.zeros(0), np.zeros((0, 1)), np.zeros((0, 1)))
