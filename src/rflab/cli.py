@@ -20,7 +20,6 @@ import hashlib
 import itertools
 import json
 import math
-import multiprocessing
 import sys
 import time
 import typing
@@ -558,6 +557,7 @@ def cmd_sweep(exp: Experiment, args) -> int:
     # the trials of one n train in lockstep; --jobs spreads the n values
     run = functools.partial(_run_group, _SweepJob(exp, proxy, holdout, gauss_pair))
     if args.jobs > 1:
+        import multiprocessing   # only a pool needs it (10 ms at start-up)
         with multiprocessing.Pool(args.jobs) as pool:
             groups = pool.map(run, sw.grid)
     else:
@@ -585,17 +585,27 @@ def cmd_sweep(exp: Experiment, args) -> int:
                "median_excess_risk": med_excess,
                "median_w2_corrected": w2c_per_n,
                "failures": len(failures)}
-    fits = {}
+    fits, skipped = {}, {}
     for name, vals in (("excess_risk", med_excess), ("w2_corrected", w2c_per_n)):
-        if len(ns) >= 4 and all(v > 0 for v in vals):
+        bad = [n for n, v in zip(ns, vals) if not v > 0]
+        if len(ns) < 4:
+            skipped[name] = "fewer than 4 grid values"
+        elif bad:
+            skipped[name] = ("non-positive median at n = "
+                             + ", ".join(map(str, bad)))
+        else:
             f = fit_rate(np.array(ns, dtype=float), np.array(vals))
             fits[name] = {"slope": f.slope, "intercept": f.intercept,
                           "stderr": f.stderr, "r2": f.r2}
     summary["fits"] = fits
+    if skipped:   # absent from a healthy sweep, whose file stays as it was
+        summary["skipped_fits"] = skipped
     write_json(os.path.join(out, "sweep_fit.json"), exp, summary)
     for name, f in fits.items():
         print(f"sweep: {name} slope {f['slope']:.4f} "
               f"(stderr {f['stderr']:.4f}, r2 {f['r2']:.4f})")
+    for name, reason in skipped.items():
+        print(f"sweep: {name} fit left out: {reason}", file=sys.stderr)
     print(f"sweep: {len(rows)} rows, {len(failures)} failures")
     return EXIT_OK
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -25,6 +26,18 @@ from .linalg_rng import RngStream, as_field_input, l1_project_row
 # Architecture constant in the parameter-Lipschitz bound L_theta = C_ARCH * D * (L_phi V)^D.
 # The source bound leaves the constant unnamed; we fix 1.0 and report it.
 C_ARCH = 1.0
+
+# A forward pass that keeps no activations runs in blocks whose widest buffer,
+# rows x members x widest layer x 8 bytes, stays within FORWARD_BLOCK_BYTES:
+# under the 1 MiB mmap threshold set in rflab/__init__.py, so block buffers
+# are reused from the heap. A stack is split along its members first; only a
+# member whose own pass is too large is split along its rows, in blocks of a
+# multiple of FORWARD_BLOCK_ROWS rows. BLAS computes a small-M product with
+# other kernels, so a block never has fewer than FORWARD_BLOCK_ROWS rows: a
+# shorter tail joins the block before it, and the block size does not depend
+# on the number of members.
+FORWARD_BLOCK_BYTES = 1 << 20
+FORWARD_BLOCK_ROWS = 1024
 
 
 @dataclasses.dataclass(frozen=True)
@@ -178,6 +191,8 @@ class VelocityNet:
         self.theta = theta
         self.weights = _layer_views(arch, theta)
         self._act = arch.act()
+        # bytes per row of the widest augmented layer input
+        self._row_bytes = 8 * (max(arch.layer_dims[:-1]) + 1)
 
     def __reduce__(self):
         return VelocityNet, (self.arch, self.theta)
@@ -252,6 +267,41 @@ class VelocityNet:
         """Output; with keep, also the augmented input of every layer and the
         pre-activation of every activated layer, for the gradient.
 
+        Without keep the pass runs in blocks of at most FORWARD_BLOCK_BYTES
+        (see there); every output row goes through the same operations as in
+        one pass over the whole input, so the bits do not depend on the
+        blocks."""
+        lead = x.shape[:-2] or self.theta.shape[:-1]   # () or (members,)
+        n = x.shape[-2]
+        if keep or math.prod(lead) * n * self._row_bytes <= FORWARD_BLOCK_BYTES:
+            return self._layers(x, t, self.weights, keep)
+        out = np.empty(lead + (n, self.arch.dim))
+        for ms, rows in self._blocks(math.prod(lead), n):
+            weights = (self.weights if self.theta.ndim == 1
+                       else [w[ms] for w in self.weights])
+            at = (ms, rows) if x.ndim == 3 else rows
+            out[(ms, rows) if lead else rows] = \
+                self._layers(x[at], t[at], weights, keep=False)[0]
+        return out, [], []
+
+    def _blocks(self, members: int, n: int):
+        """(member slice, row slice) of every block of a pass without keep."""
+        member_bytes = n * self._row_bytes
+        if member_bytes <= FORWARD_BLOCK_BYTES:
+            step = FORWARD_BLOCK_BYTES // member_bytes
+            return [(slice(i, i + step), slice(None))
+                    for i in range(0, members, step)]
+        # the largest multiple of FORWARD_BLOCK_ROWS that still fits the
+        # budget with a tail of FORWARD_BLOCK_ROWS - 1 rows joined to it
+        fit = FORWARD_BLOCK_BYTES // self._row_bytes - (FORWARD_BLOCK_ROWS - 1)
+        size = FORWARD_BLOCK_ROWS * max(1, fit // FORWARD_BLOCK_ROWS)
+        starts = list(range(0, max(1, n - FORWARD_BLOCK_ROWS + 1), size))
+        rows = [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+        return [(slice(i, i + 1), r) for i in range(members) for r in rows]
+
+    def _layers(self, x: np.ndarray, t: np.ndarray, weights, keep: bool):
+        """The layer loop of `_forward` over the given weights.
+
         Each layer's augmented input [a, b] is one buffer with the bias
         column set once: x and t go straight into the first, and each
         activation is written into the next one's [..., :-1] view."""
@@ -261,7 +311,7 @@ class VelocityNet:
         aug[..., -2] = t
         aug[..., -1] = b
         augs, pres = [], []
-        for w in self.weights[:-1]:
+        for w in weights[:-1]:
             z = aug @ w.swapaxes(-1, -2)
             if keep:
                 augs.append(aug)
@@ -269,7 +319,7 @@ class VelocityNet:
             aug = np.empty(z.shape[:-1] + (z.shape[-1] + 1,))
             aug[..., -1] = b
             self._act.value(z, out=aug[..., :-1])
-        out = aug @ self.weights[-1].swapaxes(-1, -2)
+        out = aug @ weights[-1].swapaxes(-1, -2)
         if keep:
             augs.append(aug)
         return out, augs, pres
@@ -285,7 +335,8 @@ class VelocityNet:
         """v(xt, t) - disp on a batch, whose arrays are taken as built: (n, d),
         or (K, n, d) for a stack or a stacked batch."""
         out, _, _ = self._forward(batch.xt, batch.t, keep=False)
-        return out - batch.disp
+        out -= batch.disp
+        return out
 
     def loss(self, batch: CoupledBatch):
         """Batch-mean squared residual (1/n) sum ||v(xt,t) - disp||^2: a float,

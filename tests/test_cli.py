@@ -622,9 +622,63 @@ def test_sweep_smoke_outputs(tmp_path):
     assert len(fit["median_w2_corrected"]) == 5
     assert fit["failures"] == 0
 
+    assert "skipped_fits" not in fit   # written only when a fit is left out
+
     _, fheader, frows = _read_csv(out / "sweep_failures.csv")
     assert fheader == ["n", "trial", "seed", "error", "message"]
     assert frows == []
+
+
+def test_sweep_names_a_fit_it_leaves_out_for_non_positive_medians(tmp_path,
+                                                                  capsys):
+    # a constant step of 1e6 drives every cell onto the proxy: from n = 64
+    # on, the median excess risk is exactly 0, so the excess-risk fit is left
+    # out, and the file and stderr say at which n
+    obj = json.loads(json.dumps(_SMALL_SWEEP))
+    obj["seed"] = 3
+    obj["train"].update(schedule="constant", eta=1e6)
+    obj["sweep"]["grid"] = [32, 64, 128, 256, 512, 1024]
+    cfg = _write_config(tmp_path, obj)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "sweep"]) == EXIT_OK
+    fit = _read_json(out / "sweep_fit.json")
+    zero_at = [n for n, v in zip(fit["grid"], fit["median_excess_risk"])
+               if not v > 0]
+    assert zero_at[:1] == [64]
+    reason = "non-positive median at n = " + ", ".join(map(str, zero_at))
+    assert "excess_risk" not in fit["fits"]
+    assert "w2_corrected" in fit["fits"]
+    assert fit["skipped_fits"] == {"excess_risk": reason}
+    assert f"sweep: excess_risk fit left out: {reason}\n" \
+        in capsys.readouterr().err
+
+
+def test_sweep_names_both_fits_it_leaves_out_when_cells_fail(tmp_path,
+                                                             monkeypatch,
+                                                             capsys):
+    # every cell of n = 64 and 256 diverges, so three grid values are left
+    # and neither rate can be fitted
+    real_draw = cli.draw_coupled
+
+    def poisoned_draw(rng, pi0, pi1, n):
+        batch = real_draw(rng, pi0, pi1, n)
+        if n in (64, 256):
+            batch.disp *= 1e300
+        return batch
+
+    monkeypatch.setattr(cli, "draw_coupled", poisoned_draw)
+    cfg = _write_config(tmp_path, _SMALL_SWEEP)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["--config", cfg, "--out", str(out), "sweep"]) == EXIT_OK
+    fit = _read_json(out / "sweep_fit.json")
+    assert fit["grid"] == [32, 128, 1024]
+    assert fit["fits"] == {}
+    assert fit["skipped_fits"] == {"excess_risk": "fewer than 4 grid values",
+                                   "w2_corrected": "fewer than 4 grid values"}
+    err = capsys.readouterr().err
+    for name in ("excess_risk", "w2_corrected"):
+        assert f"sweep: {name} fit left out: fewer than 4 grid values\n" in err
 
 
 def test_sweep_rerun_and_jobs_agree(tmp_path):

@@ -1,8 +1,9 @@
-"""scipy is imported on first use: only `lowerbound` (quadrature) and a sweep
-in d >= 2 (the exact assignment W2) load it. Each case runs commands
-in-process through main() in a fresh interpreter and reports which scipy
-modules that interpreter holds afterwards; module presence is checked, never
-wall time.
+"""Heavy modules are imported on first use. scipy: only `lowerbound`
+(quadrature) and a sweep in d >= 2 (the exact assignment W2) load it.
+multiprocessing: only a sweep at --jobs > 1 (its worker pool) loads it. Each
+case runs commands in-process through main() in a fresh interpreter and
+reports which of these modules that interpreter holds afterwards; module
+presence is checked, never wall time.
 """
 
 import json
@@ -18,8 +19,9 @@ _CHILD = """
 import json, sys
 from rflab.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "scipy": sorted(
-    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+print(json.dumps({"codes": codes, **{top: sorted(
+    m for m in sys.modules if m == top or m.startswith(top + "."))
+    for top in ("scipy", "multiprocessing")}}))
 """
 
 _TRAIN = {"train": {"n_samples": 64, "batch_size": 32, "steps": 4}}
@@ -72,3 +74,20 @@ def test_scipy_loads_only_where_it_is_called(tmp_path, config, commands,
         assert report["scipy"] == []
     else:
         assert needs in report["scipy"]
+
+
+# case: (command lines after the global flags, whether the run must load
+# multiprocessing)
+_POOL_CASES = {
+    "train-then-sweep-jobs-1": ([["train"], ["--jobs", "1", "sweep"]], False),
+    "sweep-jobs-2": ([["--jobs", "2", "sweep"]], True),
+}
+
+
+@pytest.mark.parametrize("commands,needs", _POOL_CASES.values(),
+                         ids=_POOL_CASES.keys())
+def test_multiprocessing_loads_only_for_a_worker_pool(tmp_path, commands,
+                                                      needs):
+    report = _run_child(tmp_path, {**_TRAIN, "sweep": _SWEEP}, commands)
+    assert report["codes"] == [0] * len(commands)
+    assert ("multiprocessing" in report["multiprocessing"]) == needs

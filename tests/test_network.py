@@ -6,12 +6,14 @@ import pickle
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rflab
+import rflab.network
 from rflab.distributions import CoupledBatch, draw_coupled, DistributionSpec
 from rflab.linalg_rng import RngStream
 from rflab.network import (CHECKPOINT_FORMAT, NetArchitecture, VelocityNet,
@@ -484,6 +486,96 @@ def test_residual_is_the_call_minus_the_displacement():
     res = stack.residual(batch)
     assert res.shape == (2, 16, 2)
     assert res.tobytes() == (stack(batch.xt, batch.t) - batch.disp).tobytes()
+
+
+# -- blocked forward pass ------------------------------------------------------------
+
+_ONE_SHOT = 1 << 62   # a budget no pass reaches: the whole pass is one block
+
+
+def _row_bytes(arch):
+    """Bytes per row of the widest augmented layer input of one net."""
+    return 8 * (max(arch.layer_dims[:-1]) + 1)
+
+
+def _residual_at(net, batch, budget, monkeypatch):
+    monkeypatch.setattr(rflab.network, "FORWARD_BLOCK_BYTES", budget)
+    return net.residual(batch)
+
+
+def _stacked_batch(dim, n, k, seed):
+    return CoupledBatch.stack([_batch(dim, n, seed=seed + i) for i in range(k)])
+
+
+@pytest.mark.parametrize("mode", ["solo", "stack-shared", "stack-stacked"])
+@pytest.mark.parametrize("hidden", [(24,), (16,), (6, 5), (32, 32)],
+                         ids=["24", "16", "6-5", "32-32"])
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid", "softplus_clamped"])
+def test_blocked_pass_matches_the_one_shot_pass(activation, hidden, mode,
+                                                monkeypatch):
+    # a budget that gives every architecture the smallest row blocks, 1,024
+    # rows, so the row counts below are: just below one block, two blocks,
+    # two blocks and a short tail (joined to the last block), two blocks and
+    # a tail of its own
+    for dim in (1, 2, 3):
+        arch = _arch(dim=dim, hidden=hidden, activation=activation, V=3.0)
+        nets = [VelocityNet.init(arch, RngStream(40 + dim, i)) for i in range(3)]
+        net = nets[0] if mode == "solo" else VelocityNet.stack(nets)
+        budget = _row_bytes(arch) * (1024 + 1023)
+        for n in (1023, 2048, 2048 + 500, 2048 + 1500):
+            batch = (_stacked_batch(dim, n, 3, seed=n) if mode == "stack-stacked"
+                     else _batch(dim, n, seed=n))
+            blocked = _residual_at(net, batch, budget, monkeypatch)
+            whole = _residual_at(net, batch, _ONE_SHOT, monkeypatch)
+            assert blocked.tobytes() == whole.tobytes(), (dim, n)
+            if mode != "stack-stacked":
+                monkeypatch.setattr(rflab.network, "FORWARD_BLOCK_BYTES", budget)
+                assert (net(batch.xt, batch.t) - batch.disp).tobytes() \
+                    == whole.tobytes(), (dim, n)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
+def test_stack_member_is_its_solo_net_over_several_blocks(stacked):
+    # 9,000 rows of width 25 are two row blocks per member at the shipped
+    # budget (4,096 rows and 4,904 with the short tail); loss and residual
+    # of every member equal its solo net's, bit for bit
+    arch = _arch(dim=1, hidden=(24,), V=4.0)
+    stack = VelocityNet.stack(VelocityNet.init(arch, RngStream(50, i))
+                              for i in range(3))
+    n = 9000
+    assert n * _row_bytes(arch) > rflab.network.FORWARD_BLOCK_BYTES
+    batch = _stacked_batch(1, n, 3, seed=51) if stacked else _batch(1, n, seed=51)
+    res, losses = stack.residual(batch), stack.loss(batch)
+    for i in range(3):
+        own = CoupledBatch(batch.t[i], batch.xt[i], batch.disp[i]) \
+            if stacked else batch
+        member = stack.member(i)
+        assert res[i].tobytes() == member.residual(own).tobytes()
+        assert losses[i] == member.loss(own)
+        if not stacked:
+            assert stack(own.xt, own.t)[i].tobytes() \
+                == member(own.xt, own.t).tobytes()
+
+
+def test_blocked_loss_of_a_big_stack_stays_small(monkeypatch):
+    # a sweep's full-data loss at the acceptance shape: 10 members on 8,192
+    # rows each through hidden [24]. In one pass its hidden buffers alone were
+    # about 31 MB; in blocks the traced peak stays under 4 MB. Traced bytes
+    # are checked, never wall time.
+    arch = _arch(dim=1, hidden=(24,), V=4.0)
+    stack = VelocityNet.stack(VelocityNet.init(arch, RngStream(60, i))
+                              for i in range(10))
+    batch = _stacked_batch(1, 8192, 10, seed=61)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        losses = stack.loss(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+    monkeypatch.setattr(rflab.network, "FORWARD_BLOCK_BYTES", _ONE_SHOT)
+    assert losses.tobytes() == stack.loss(batch).tobytes()
 
 
 def test_loss_and_grad_rejects_empty_batch():
