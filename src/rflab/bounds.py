@@ -256,12 +256,6 @@ class RademacherReport:
     n_restarts: int
     best_thetas: list
 
-    @property
-    def spread(self) -> float:
-        if self.per_sign.size < 2:
-            return 0.0
-        return float(self.per_sign.std(ddof=1))
-
 
 def _per_sample_loss(net, batch) -> np.ndarray:
     """Per-sample squared residual: (n,), or (K, n) for a stack."""

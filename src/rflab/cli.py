@@ -33,7 +33,7 @@ from .linalg_rng import RngStream, splitmix64
 from .metrics import ASSIGNMENT_CAP, excess_risk, fit_rate, w2_empirical
 from .network import (CHECKPOINT_FORMAT, NetArchitecture, VelocityNet,
                       finite_diff_grad, load_checkpoint, save_checkpoint)
-from .oracles import (GaussianPairSpec, LowerBoundInstance, lecam_budget,
+from .oracles import (LowerBoundInstance, gaussian_closed_form, lecam_budget,
                       lowerbound_grid, velocity_l2_error)
 from .sampler import (MAX_REFLOW_ROUNDS, ReflowState, euler_integrate,
                       reflow, straightness)
@@ -149,9 +149,12 @@ class SweepSpec:
         if math.log10(self.grid[-1] / self.grid[0]) < 1.5:
             raise ValueError("grid must span >= 1.5 decades")
         for name in ("trials", "epochs", "proxy_n", "proxy_epochs",
-                     "proxy_batch", "eval_samples", "euler_steps"):
+                     "proxy_batch", "euler_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # a cell's velocity error carries a standard error over its points
+        if self.eval_samples < 2:
+            raise ValueError("eval_samples must be >= 2")
         if not (1.0 <= self.steps_exponent <= 2.0):
             raise ValueError("steps_exponent must be in [1, 2]")
 
@@ -459,14 +462,12 @@ def _cell_seed(seed: int, n: int, trial: int) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class _SweepJob:
-    """What every sweep cell reads: the experiment, the trained proxy, the
-    shared holdout batch, and the Gaussian pair whose closed-form velocity
-    scores the cell (None unless both endpoints are equal-std Gaussians)."""
+    """What every sweep cell reads: the experiment, the trained proxy and the
+    shared holdout batch."""
 
     exp: Experiment
     proxy: VelocityNet
     holdout: CoupledBatch
-    gauss_pair: GaussianPairSpec | None
 
 
 def _run_group(job: _SweepJob, n: int) -> list:
@@ -512,8 +513,8 @@ def _score_cell(job: _SweepJob, net: VelocityNet, s: RngStream) -> list:
     """excess risk, velocity L2 error, W2 of the Euler samples and its baseline."""
     exp, sw = job.exp, job.exp.sweep
     excess = excess_risk(net, job.proxy, job.holdout)
-    if job.gauss_pair is not None:
-        vel, _ = velocity_l2_error(net, job.gauss_pair, sw.eval_samples,
+    if gaussian_closed_form(exp.pi0, exp.pi1):
+        vel, _ = velocity_l2_error(net, exp.pi0, exp.pi1, sw.eval_samples,
                                    s.derive(3))
     else:
         vel = float("nan")
@@ -547,15 +548,9 @@ def cmd_sweep(exp: Experiment, args) -> int:
     proxy = _train_proxy(exp)
     holdout = draw_coupled(RngStream(exp.seed).derive(8), exp.pi0, exp.pi1,
                            sw.eval_samples)
-    gauss_pair = None
-    if exp.pi0.kind == exp.pi1.kind == "gaussian":
-        gauss_pair = GaussianPairSpec(exp.pi0.mean_vector(), exp.pi1.mean_vector(),
-                                      exp.pi0.std, exp.pi1.std)
-        if not gauss_pair.equal_variance:
-            gauss_pair = None
 
     # the trials of one n train in lockstep; --jobs spreads the n values
-    run = functools.partial(_run_group, _SweepJob(exp, proxy, holdout, gauss_pair))
+    run = functools.partial(_run_group, _SweepJob(exp, proxy, holdout))
     if args.jobs > 1:
         import multiprocessing   # only a pool needs it (10 ms at start-up)
         with multiprocessing.Pool(args.jobs) as pool:
@@ -607,6 +602,10 @@ def cmd_sweep(exp: Experiment, args) -> int:
     for name, reason in skipped.items():
         print(f"sweep: {name} fit left out: {reason}", file=sys.stderr)
     print(f"sweep: {len(rows)} rows, {len(failures)} failures")
+    if not rows:
+        print("sweep: no usable cell; every cell is in sweep_failures.csv",
+              file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_OK
 
 

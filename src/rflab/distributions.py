@@ -225,22 +225,3 @@ def truncation_level(sigma: float, n: int, C: float = 2.0, c: float = 0.5) -> fl
         raise ValueError("C and c must be > 0")
     return sigma * math.sqrt(math.log(2.0 * C * n * n) / c)
 
-
-def pair_subgaussian_sigma(pi0: DistributionSpec, pi1: DistributionSpec) -> float:
-    """Tail parameter for the displacement X1 - X0 of an independent coupling."""
-    return math.sqrt(pi0.subgaussian_sigma ** 2 + pi1.subgaussian_sigma ** 2)
-
-
-def tail_mass_outside(pi0: DistributionSpec, pi1: DistributionSpec, M: float,
-                      n_mc: int, rng: RngStream) -> tuple[float, float]:
-    """Monte-Carlo estimate of P(||X1 - X0|| > M) with its standard error."""
-    if not (M > 0):
-        raise ValueError("M must be > 0")
-    if n_mc < 1:
-        raise ValueError("n_mc must be >= 1")
-    x0 = pi0.sample(rng, n_mc)
-    x1 = pi1.sample(rng, n_mc)
-    hits = (np.linalg.norm(x1 - x0, axis=1) > M).astype(np.float64)
-    p = float(hits.mean())
-    stderr = math.sqrt(max(p * (1.0 - p), 0.0) / n_mc)
-    return p, stderr

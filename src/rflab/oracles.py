@@ -1,11 +1,11 @@
 """Ground-truth velocity fields and the two-hypothesis hardness construction.
 
 For independent Gaussian endpoints with equal variances the optimal velocity
-is an exact joint-Gaussian regression; for everything else a binned Monte-Carlo
-conditional mean serves as the fallback estimator. The hardness side builds the
-contaminated-target pair, its t=1/2 posterior velocities (in log-density space,
-so the R/sigma >= 8 regime does not underflow), total variation by adaptive
-quadrature, and the m-sample testing budget.
+is an exact joint-Gaussian regression, which scores a sweep cell's velocity
+error; no other endpoint pair has a closed form here. The hardness side
+builds the contaminated-target pair, its t=1/2 posterior velocities (in
+log-density space, so the R/sigma >= 8 regime does not underflow), total
+variation by adaptive quadrature, and the m-sample testing budget.
 """
 
 from __future__ import annotations
@@ -15,105 +15,47 @@ import math
 
 import numpy as np
 
+from .distributions import DistributionSpec
 from .linalg_rng import RngStream, as_field_input
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-@dataclasses.dataclass(frozen=True)
-class GaussianPairSpec:
-    """Independent endpoints X0 ~ N(mu0, std0^2 I), X1 ~ N(mu1, std1^2 I)."""
-
-    mu0: np.ndarray
-    mu1: np.ndarray
-    std0: float
-    std1: float
-
-    def __post_init__(self):
-        mu0 = np.asarray(self.mu0, dtype=np.float64).reshape(-1)
-        mu1 = np.asarray(self.mu1, dtype=np.float64).reshape(-1)
-        if mu0.size != mu1.size:
-            raise ValueError("mu0 and mu1 must have equal dimension")
-        if not (self.std0 > 0 and self.std1 > 0):
-            raise ValueError("std0 and std1 must be > 0")
-        object.__setattr__(self, "mu0", mu0)
-        object.__setattr__(self, "mu1", mu1)
-
-    @property
-    def dim(self) -> int:
-        return self.mu0.size
-
-    @property
-    def equal_variance(self) -> bool:
-        return abs(self.std0 - self.std1) <= 1e-12 * max(self.std0, self.std1)
+def gaussian_closed_form(pi0: DistributionSpec, pi1: DistributionSpec) -> bool:
+    """Whether vstar_gaussian applies: gaussians of equal dim and std (to a
+    relative 1e-12)."""
+    return (pi0.kind == pi1.kind == "gaussian" and pi0.dim == pi1.dim
+            and abs(pi0.std - pi1.std) <= 1e-12 * max(pi0.std, pi1.std))
 
 
-def vstar_gaussian(spec: GaussianPairSpec, x, t):
-    """Exact optimal velocity E[X1 - X0 | X_t = x] for equal variances:
+def vstar_gaussian(pi0: DistributionSpec, pi1: DistributionSpec, x, t):
+    """Exact optimal velocity E[X1 - X0 | X_t = x] for equal-std gaussians:
 
         (mu1 - mu0) + ((2t - 1) / ((1-t)^2 + t^2)) (x - ((1-t) mu0 + t mu1)).
 
     The variance cancels from the regression coefficient. x may be (d,) or
     (n, d); t a scalar in [0,1] or (n,).
     """
-    if not spec.equal_variance:
-        raise ValueError("closed form needs std0 = std1; use conditional_mean_mc")
+    if not gaussian_closed_form(pi0, pi1):
+        raise ValueError("closed form needs gaussian endpoints of equal dim and std")
     xb, tb, single = as_field_input(x, t)
     coef = (2.0 * tb - 1.0) / ((1.0 - tb) ** 2 + tb ** 2)
-    center = (1.0 - tb)[:, None] * spec.mu0 + tb[:, None] * spec.mu1
-    out = (spec.mu1 - spec.mu0) + coef[:, None] * (xb - center)
+    center = (1.0 - tb)[:, None] * pi0.mean + tb[:, None] * pi1.mean
+    out = (pi1.mean - pi0.mean) + coef[:, None] * (xb - center)
     return out[0] if single else out
 
 
-def sample_pair(spec: GaussianPairSpec, rng: RngStream, n: int):
-    x0 = spec.mu0 + spec.std0 * rng.gen.standard_normal((n, spec.dim))
-    x1 = spec.mu1 + spec.std1 * rng.gen.standard_normal((n, spec.dim))
-    return x0, x1
-
-
-def conditional_mean_mc(spec: GaussianPairSpec, t: float, grid: np.ndarray,
-                        n_mc: int, rng: RngStream):
-    """Binned Monte-Carlo estimate of E[X1 - X0 | X_t = x] on a 1-D grid.
-
-    Returns (estimates, stderrs, counts) per grid cell. Cells are the nearest-
-    grid-point partition, bounded by half a cell beyond the span; draws outside
-    are discarded so edge cells do not swallow the tails. The general-variance
-    fallback and the test oracle for the closed form.
-    """
-    if spec.dim != 1:
-        raise ValueError("binned estimator is 1-D only")
-    grid = np.asarray(grid, dtype=np.float64).reshape(-1)
-    if grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be increasing with >= 2 points")
-    x0, x1 = sample_pair(spec, rng, n_mc)
-    xt = ((1.0 - t) * x0 + t * x1).reshape(-1)
-    disp = (x1 - x0).reshape(-1)
-    lo = grid[0] - 0.5 * (grid[1] - grid[0])
-    hi = grid[-1] + 0.5 * (grid[-1] - grid[-2])
-    keep = (xt >= lo) & (xt <= hi)
-    xt, disp = xt[keep], disp[keep]
-    edges = 0.5 * (grid[1:] + grid[:-1])
-    cell = np.searchsorted(edges, xt)
-    counts = np.bincount(cell, minlength=grid.size)
-    sums = np.bincount(cell, weights=disp, minlength=grid.size)
-    sq = np.bincount(cell, weights=disp * disp, minlength=grid.size)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        means = sums / counts
-        var = sq / counts - means ** 2
-        stderr = np.sqrt(np.maximum(var, 0.0) / np.maximum(counts, 1))
-    return means, stderr, counts
-
-
-def velocity_l2_error(net, spec: GaussianPairSpec, n_mc: int,
-                      rng: RngStream) -> tuple[float, float]:
+def velocity_l2_error(net, pi0: DistributionSpec, pi1: DistributionSpec,
+                      n_mc: int, rng: RngStream) -> tuple[float, float]:
     """Monte-Carlo estimate (with standard error) of the integrated squared
     velocity error int_0^1 E||net(X_t, t) - v*(X_t, t)||^2 dt."""
     if n_mc < 2:
         raise ValueError("n_mc must be >= 2")
-    x0, x1 = sample_pair(spec, rng, n_mc)
+    x0 = pi0.sample(rng, n_mc)
+    x1 = pi1.sample(rng, n_mc)
     t = rng.gen.uniform(0.0, 1.0, size=n_mc)
     xt = (1.0 - t)[:, None] * x0 + t[:, None] * x1
-    gap = np.asarray(net(xt, t)) - vstar_gaussian(spec, xt, t)
+    gap = np.asarray(net(xt, t)) - vstar_gaussian(pi0, pi1, xt, t)
     vals = np.sum(gap * gap, axis=1)
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n_mc))
@@ -166,23 +108,25 @@ def _norm_logpdf(x, mean, var):
     return -0.5 * ((x - mean) ** 2 / var + np.log(var) + _LOG_2PI)
 
 
+def _contaminated_pdf(inst: LowerBoundInstance, x, var: float, signal: float):
+    """(1 - eta) N(0, var) + eta N(signal, var) at x."""
+    x = np.asarray(x, dtype=np.float64)
+    bg = np.exp(_norm_logpdf(x, 0.0, var))
+    sig = np.exp(_norm_logpdf(x, signal, var))
+    return (1.0 - inst.eta) * bg + inst.eta * sig
+
+
 def target_pdf(inst: LowerBoundInstance, hypothesis: int, x):
     """Density of the contaminated target pi_1 under the given hypothesis."""
-    x = np.asarray(x, dtype=np.float64)
-    var = inst.sigma ** 2
-    bg = np.exp(_norm_logpdf(x, 0.0, var))
-    sig = np.exp(_norm_logpdf(x, inst.signal_mean(hypothesis), var))
-    return (1.0 - inst.eta) * bg + inst.eta * sig
+    return _contaminated_pdf(inst, x, inst.sigma ** 2,
+                             inst.signal_mean(hypothesis))
 
 
 def midpoint_pdf(inst: LowerBoundInstance, hypothesis: int, x):
     """Density of Z = X_{1/2} = (X0 + X1)/2: component means halve, variance
     sigma^2/2 either way."""
-    x = np.asarray(x, dtype=np.float64)
-    var = 0.5 * inst.sigma ** 2
-    bg = np.exp(_norm_logpdf(x, 0.0, var))
-    sig = np.exp(_norm_logpdf(x, 0.5 * inst.signal_mean(hypothesis), var))
-    return (1.0 - inst.eta) * bg + inst.eta * sig
+    return _contaminated_pdf(inst, x, 0.5 * inst.sigma ** 2,
+                             0.5 * inst.signal_mean(hypothesis))
 
 
 def pi_star_pdf(inst: LowerBoundInstance, x):

@@ -15,21 +15,21 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from oracles_support import (QuadraticProblem, conditional_mean_mc,
+                             pair_subgaussian_sigma, sgd_rate_check)
 from rflab.bounds import (BoundInputs, dudley_local_rad,
                           empirical_local_rademacher, psi_and_fixed_point,
                           r_star_closed)
 from rflab.cli import EXIT_OK, main
-from rflab.distributions import (DistributionSpec, draw_coupled,
-                                 pair_subgaussian_sigma, truncation_level)
+from rflab.distributions import DistributionSpec, draw_coupled, truncation_level
 from rflab.linalg_rng import RngStream
 from rflab.metrics import w2_empirical
 from rflab.network import NetArchitecture, VelocityNet, finite_diff_grad
-from rflab.oracles import (GaussianPairSpec, LowerBoundInstance,
-                           conditional_mean_mc, posterior_weights,
+from rflab.oracles import (LowerBoundInstance, posterior_weights,
                            tv_distance_mixtures, velocity_separation,
                            vstar_gaussian)
 from rflab.sampler import ReflowState, euler_integrate, reflow, straightness
-from rflab.training import QuadraticProblem, TrainConfig, sgd_rate_check
+from rflab.training import TrainConfig
 
 
 def _line(k: int, detail: str) -> None:
@@ -110,14 +110,13 @@ def test_c01_gradient_correctness():
 
 def test_c02_oracle_fidelity():
     t0 = time.perf_counter()
-    spec = GaussianPairSpec(mu0=np.zeros(1), mu1=np.array([2.0]),
-                            std0=1.0, std1=1.0)
+    spec = _gauss1d()
     grid = np.linspace(-2.0, 4.0, 25)
     worst_z = 0.0
     for t in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]:
         means, stderr, counts = conditional_mean_mc(
-            spec, t, grid, 200_000, RngStream(58).derive(int(t * 10)))
-        exact = vstar_gaussian(spec, grid.reshape(-1, 1), t).reshape(-1)
+            *spec, t, grid, 200_000, RngStream(58).derive(int(t * 10)))
+        exact = vstar_gaussian(*spec, grid.reshape(-1, 1), t).reshape(-1)
         # populated = enough draws for the plug-in stderr to be meaningful
         pop = counts >= 50
         assert pop.sum() >= 20
@@ -128,7 +127,7 @@ def test_c02_oracle_fidelity():
     pi0, pi1 = _gauss1d()
     root = RngStream(77)
     z0 = pi0.sample(root.derive(1), 4096)
-    z1, _ = euler_integrate(functools.partial(vstar_gaussian, spec), z0, 1000)
+    z1, _ = euler_integrate(functools.partial(vstar_gaussian, *spec), z0, 1000)
     ref = pi1.sample(root.derive(2), 4096)
     w2 = w2_empirical(z1, ref)
     elapsed = time.perf_counter() - t0

@@ -315,7 +315,6 @@ def test_rademacher_deterministic_and_reports_shape():
     assert rep1.value == rep2.value
     assert rep1.per_sign.shape == (2,)
     assert len(rep1.best_thetas) == 2
-    assert rep1.spread >= 0.0
 
 
 def _serial_local_rademacher(sampler, net_ref, data, r, n_signs, n_restarts,

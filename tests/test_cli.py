@@ -152,6 +152,9 @@ _CONFIG_PROBES = {
                         "sweep", "field 'sweep.grid' must be an integer"),
     "sweep-not-an-object": ({"sweep": [1]}, "sweep",
                             "field 'sweep' must be a JSON object"),
+    "sweep-eval-samples-one": ({"sweep": {**_SWEEP_BLOCK, "eval_samples": 1}},
+                               "sweep",
+                               "field 'sweep': eval_samples must be >= 2"),
     "arch-hiden": ({"train": _TRAIN_BLOCK, "arch": {"hiden": [4]}}, "train",
                    "unknown field 'arch.hiden'"),
     "arch-l1-budjet": ({"train": _TRAIN_BLOCK, "arch": {"l1_budjet": 2.0}},
@@ -679,6 +682,27 @@ def test_sweep_names_both_fits_it_leaves_out_when_cells_fail(tmp_path,
     err = capsys.readouterr().err
     for name in ("excess_risk", "w2_corrected"):
         assert f"sweep: {name} fit left out: fewer than 4 grid values\n" in err
+
+
+def test_sweep_with_no_usable_cell_exits_3(tmp_path, monkeypatch, capsys):
+    # every cell diverges: all three files are still written
+    real_draw = cli.draw_coupled
+
+    def poisoned_draw(rng, pi0, pi1, n):
+        batch = real_draw(rng, pi0, pi1, n)
+        if n != _SMALL_SWEEP["sweep"]["proxy_n"]:
+            batch.disp *= 1e300
+        return batch
+
+    monkeypatch.setattr(cli, "draw_coupled", poisoned_draw)
+    cfg = _write_config(tmp_path, _SMALL_SWEEP)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["--config", cfg, "--out", str(out), "sweep"]) == EXIT_NUMERIC
+    assert _read_csv(out / "sweep.csv")[2] == []
+    assert len(_read_csv(out / "sweep_failures.csv")[2]) == 10
+    assert len(_read_json(out / "sweep_fit.json")["skipped_fits"]) == 2
+    assert "sweep: no usable cell" in capsys.readouterr().err
 
 
 def test_sweep_rerun_and_jobs_agree(tmp_path):

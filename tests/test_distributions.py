@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles_support import pair_subgaussian_sigma, tail_mass_outside
 from rflab.distributions import (CoupledBatch, DistributionSpec, couple_given,
-                                 draw_coupled, interpolate,
-                                 pair_subgaussian_sigma, tail_mass_outside,
-                                 truncation_level)
+                                 draw_coupled, interpolate, truncation_level)
 from rflab.linalg_rng import RngStream
 
 

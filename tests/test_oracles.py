@@ -5,19 +5,23 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from oracles_support import conditional_mean_mc
+from rflab.distributions import DistributionSpec
 from rflab.linalg_rng import RngStream
-from rflab.oracles import (GaussianPairSpec, LowerBoundInstance,
-                           conditional_mean_mc, conditional_x0_mean,
-                           lecam_budget, lowerbound_grid, midpoint_pdf,
-                           mixture_posterior_velocity, pi_star_pdf,
-                           posterior_weights, sample_pair, target_pdf,
+from rflab.oracles import (LowerBoundInstance, conditional_x0_mean,
+                           gaussian_closed_form, lecam_budget, lowerbound_grid,
+                           midpoint_pdf, mixture_posterior_velocity,
+                           pi_star_pdf, posterior_weights, target_pdf,
                            tv_distance_mixtures, velocity_l2_error,
                            velocity_separation, vstar_gaussian)
 
 
-def _spec_1d(mu1=2.0, std=1.0):
-    return GaussianPairSpec(mu0=np.array([0.0]), mu1=np.array([mu1]),
-                            std0=std, std1=std)
+def _gauss(mean, std):
+    return DistributionSpec.from_json({"kind": "gaussian", "mean": mean, "std": std})
+
+
+def _spec_1d():
+    return _gauss([0.0], 1.0), _gauss([2.0], 1.0)
 
 
 # -- closed-form optimal velocity ------------------------------------------------------
@@ -25,10 +29,9 @@ def _spec_1d(mu1=2.0, std=1.0):
 
 def test_vstar_at_half_is_mean_displacement():
     # the regression coefficient (2t-1) vanishes at t = 1/2
-    spec = GaussianPairSpec(mu0=np.array([1.0, -1.0]), mu1=np.array([3.0, 0.0]),
-                            std0=0.7, std1=0.7)
+    spec = _gauss([1.0, -1.0], 0.7), _gauss([3.0, 0.0], 0.7)
     x = np.array([[5.0, 5.0], [-2.0, 0.3]])
-    out = vstar_gaussian(spec, x, 0.5)
+    out = vstar_gaussian(*spec, x, 0.5)
     assert np.allclose(out, [2.0, 1.0])
 
 
@@ -38,7 +41,7 @@ def test_vstar_affine_structure():
     center = (1 - t) * 0.0 + t * 2.0
     coef = (2 * t - 1) / ((1 - t) ** 2 + t ** 2)
     for x in (-3.0, 0.0, 4.0):
-        got = float(vstar_gaussian(spec, np.array([x]), t)[0])
+        got = float(vstar_gaussian(*spec, np.array([x]), t)[0])
         assert got == pytest.approx(2.0 + coef * (x - center), rel=1e-14)
 
 
@@ -57,22 +60,22 @@ def test_vstar_matches_quadrature_posterior():
         return (x - (1 - t) * m0) / t - m0
 
     for x, t in [(0.5, 0.3), (1.0, 0.5), (2.5, 0.8), (-1.0, 0.25), (0.0, 0.9)]:
-        closed = float(vstar_gaussian(spec, np.array([x]), t)[0])
+        closed = float(vstar_gaussian(*spec, np.array([x]), t)[0])
         assert closed == pytest.approx(vstar_quad(x, t), abs=1e-8)
 
 
 def test_vstar_rejects_unequal_variance_and_bad_t():
-    uneq = GaussianPairSpec(mu0=np.zeros(1), mu1=np.ones(1), std0=1.0, std1=2.0)
-    assert not uneq.equal_variance
-    with pytest.raises(ValueError, match="conditional_mean_mc"):
-        vstar_gaussian(uneq, np.zeros(1), 0.5)
+    uneq = _gauss([0.0], 1.0), _gauss([1.0], 2.0)
+    assert not gaussian_closed_form(*uneq)
+    with pytest.raises(ValueError, match="gaussian endpoints of equal dim"):
+        vstar_gaussian(*uneq, np.zeros(1), 0.5)
     with pytest.raises(ValueError):
-        vstar_gaussian(_spec_1d(), np.zeros(1), 1.5)
+        vstar_gaussian(*_spec_1d(), np.zeros(1), 1.5)
 
 
 def test_vstar_field_and_shapes():
     spec = _spec_1d()
-    field = functools.partial(vstar_gaussian, spec)
+    field = functools.partial(vstar_gaussian, *spec)
     x = np.array([[0.1], [0.7], [1.3]])
     t = np.array([0.2, 0.5, 0.8])
     out = field(x, t)
@@ -87,10 +90,17 @@ def test_vstar_field_and_shapes():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        GaussianPairSpec(mu0=np.zeros(2), mu1=np.zeros(3), std0=1.0, std1=1.0)
-    with pytest.raises(ValueError):
-        GaussianPairSpec(mu0=np.zeros(1), mu1=np.zeros(1), std0=0.0, std1=1.0)
+    # the closed form needs two gaussian endpoints of equal dim and std
+    g = _gauss([0.0], 1.0)
+    mixture = DistributionSpec("gaussian_mixture", 1,
+                               components=[(1.0, np.zeros(1), 1.0)])
+    for pair in ((g, _gauss([1.0], 2.0)), (mixture, g),
+                 (g, _gauss([0.0, 1.0], 1.0))):
+        assert not gaussian_closed_form(*pair)
+        with pytest.raises(ValueError, match="gaussian endpoints of equal dim"):
+            vstar_gaussian(*pair, np.zeros(1), 0.5)
+        with pytest.raises(ValueError, match="gaussian endpoints of equal dim"):
+            velocity_l2_error(lambda x, t: x, *pair, 16, RngStream(0))
 
 
 # -- binned Monte-Carlo route ----------------------------------------------------------
@@ -104,10 +114,10 @@ def test_binned_mc_agrees_with_closed_form():
     worst = 0.0
     for t in (0.1, 0.3, 0.5, 0.7, 0.9):
         means, stderr, counts = conditional_mean_mc(
-            spec, t, grid, 200_000, RngStream(15).derive(int(t * 10)))
+            *spec, t, grid, 200_000, RngStream(15).derive(int(t * 10)))
         ok = counts >= 50
         assert ok.sum() >= 10
-        closed = vstar_gaussian(spec, grid[ok, None], t)[:, 0]
+        closed = vstar_gaussian(*spec, grid[ok, None], t)[:, 0]
         z = np.abs(means[ok] - closed) / stderr[ok]
         worst = max(worst, float(z.max()))
     assert worst < 3.0
@@ -116,24 +126,24 @@ def test_binned_mc_agrees_with_closed_form():
 def test_binned_mc_discards_out_of_span_draws():
     spec = _spec_1d()
     grid = np.linspace(-0.5, 0.5, 5)     # narrow window in a wide distribution
-    means, stderr, counts = conditional_mean_mc(spec, 0.5, grid, 50_000,
+    means, stderr, counts = conditional_mean_mc(*spec, 0.5, grid, 50_000,
                                                 RngStream(8))
     # all cells populated, none inflated by tail captures
     assert (counts > 0).all()
     assert counts.sum() < 50_000
-    closed = vstar_gaussian(spec, grid[:, None], 0.5)[:, 0]
+    closed = vstar_gaussian(*spec, grid[:, None], 0.5)[:, 0]
     assert (np.abs(means - closed) <= 4 * stderr).all()
 
 
 def test_binned_mc_validation():
     spec = _spec_1d()
     with pytest.raises(ValueError):
-        conditional_mean_mc(spec, 0.5, np.array([0.0]), 100, RngStream(0))
+        conditional_mean_mc(*spec, 0.5, np.array([0.0]), 100, RngStream(0))
     with pytest.raises(ValueError):
-        conditional_mean_mc(spec, 0.5, np.array([0.0, -1.0]), 100, RngStream(0))
-    spec2 = GaussianPairSpec(mu0=np.zeros(2), mu1=np.ones(2), std0=1.0, std1=1.0)
+        conditional_mean_mc(*spec, 0.5, np.array([0.0, -1.0]), 100, RngStream(0))
+    spec2 = _gauss([0.0, 0.0], 1.0), _gauss([1.0, 1.0], 1.0)
     with pytest.raises(ValueError, match="1-D"):
-        conditional_mean_mc(spec2, 0.5, np.linspace(0, 1, 5), 100, RngStream(0))
+        conditional_mean_mc(*spec2, 0.5, np.linspace(0, 1, 5), 100, RngStream(0))
 
 
 # -- integrated velocity error ---------------------------------------------------------
@@ -141,8 +151,8 @@ def test_binned_mc_validation():
 
 def test_velocity_l2_error_zero_for_exact_field():
     spec = _spec_1d()
-    est, stderr = velocity_l2_error(functools.partial(vstar_gaussian, spec),
-                                    spec, 2000, RngStream(1))
+    est, stderr = velocity_l2_error(functools.partial(vstar_gaussian, *spec),
+                                    *spec, 2000, RngStream(1))
     assert est == 0.0
     assert stderr == 0.0
 
@@ -152,21 +162,12 @@ def test_velocity_l2_error_analytic_constants():
     # int (2t-1)^2 / ((1-t)^2 + t^2) dt = 2 - pi/2 is done by hand
     spec = _spec_1d()
     zero = lambda x, t: np.zeros_like(x)
-    est, se = velocity_l2_error(zero, spec, 400_000, RngStream(42))
+    est, se = velocity_l2_error(zero, *spec, 400_000, RngStream(42))
     assert est == pytest.approx(4.0 + 2.0 - math.pi / 2.0, abs=5 * se)
     # subtracting the mean displacement leaves only the variance term
     const = lambda x, t: np.full_like(x, 2.0)
-    est2, se2 = velocity_l2_error(const, spec, 400_000, RngStream(43))
+    est2, se2 = velocity_l2_error(const, *spec, 400_000, RngStream(43))
     assert est2 == pytest.approx(2.0 - math.pi / 2.0, abs=5 * se2)
-
-
-def test_sample_pair_moments():
-    spec = _spec_1d(mu1=3.0, std=0.5)
-    x0, x1 = sample_pair(spec, RngStream(6), 100_000)
-    assert x0.shape == x1.shape == (100_000, 1)
-    assert abs(float(x0.mean())) < 0.01
-    assert float(x1.mean()) == pytest.approx(3.0, abs=0.01)
-    assert float(x1.std()) == pytest.approx(0.5, abs=0.01)
 
 
 # -- two-hypothesis construction -------------------------------------------------------

@@ -3,12 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles_support import (QuadraticProblem, closed_envelope_constant,
+                             recursion_envelope, sgd_rate_check)
 from rflab.distributions import CoupledBatch, DistributionSpec, draw_coupled
 from rflab.linalg_rng import RngStream
 from rflab.network import NetArchitecture, VelocityNet
-from rflab.training import (DivergenceError, QuadraticProblem, TrainConfig,
-                            closed_envelope_constant, recursion_envelope,
-                            sgd_rate_check, step_size, train)
+from rflab.training import DivergenceError, TrainConfig, step_size, train
 
 
 def _arch(V=4.0):
