@@ -17,9 +17,12 @@ import math
 import numpy as np
 
 from .linalg_rng import RngStream
-from .network import VelocityNet, lipschitz_report
+from .network import VelocityNet
 
 _SQRT_PI_HALF = math.sqrt(math.pi) / 2.0
+
+# C_ARCH in L_theta = C_ARCH D (L_phi V)^D: the source bound leaves it unnamed
+C_ARCH = 1.0
 
 
 class VacuousRegimeError(ValueError):
@@ -68,11 +71,13 @@ class BoundInputs:
     @classmethod
     def from_architecture(cls, arch, mu: float, n: int, m_disp: float = 0.0,
                           **kw) -> "BoundInputs":
-        rep = lipschitz_report(arch, m_disp=m_disp)
-        return cls(
-            P=arch.param_count, n=n, L_ell=rep.loss_lipschitz, mu=mu,
-            L_theta=rep.param_lipschitz, b=arch.act_bound, V=arch.l1_budget,
-            L_phi=arch.act().lipschitz, D=arch.depth, **kw)
+        """L_ell = 2 (V b + m_disp) and L_theta = C_ARCH D (L_phi V)^D."""
+        if m_disp < 0:
+            raise ValueError("m_disp must be >= 0")
+        l_phi, V, D = arch.act().lipschitz, arch.l1_budget, arch.depth
+        return cls(P=arch.param_count, n=n, L_ell=2.0 * (V * arch.act_bound + m_disp),
+                   mu=mu, L_theta=C_ARCH * D * (l_phi * V) ** D, b=arch.act_bound,
+                   V=V, L_phi=l_phi, D=D, **kw)
 
     def with_n(self, n: int) -> "BoundInputs":
         return dataclasses.replace(self, n=n)

@@ -35,15 +35,12 @@ from .network import (CHECKPOINT_FORMAT, NetArchitecture, VelocityNet,
                       finite_diff_grad, load_checkpoint, save_checkpoint)
 from .oracles import (LowerBoundInstance, gaussian_closed_form, lecam_budget,
                       lowerbound_grid, velocity_l2_error)
-from .sampler import (MAX_REFLOW_ROUNDS, ReflowState, euler_integrate,
-                      reflow, straightness)
+from .sampler import MAX_REFLOW_ROUNDS, euler_integrate, reflow, straightness
 from .training import DivergenceError, TrainConfig, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-_TASKS = ("gaussian_1d", "gaussian_2d", "mixture_2d", "lowerbound")
 
 
 class ConfigError(ValueError):
@@ -54,11 +51,11 @@ class ConfigError(ValueError):
 
 
 def _number(kind, value, field: str):
-    """kind(value) for kind int or float; a value it cannot take or would
-    change (4.5 for an int) is a config error that names the field."""
+    """kind(value) for kind int or float; a string, a boolean or a value kind
+    would change (4.5 for an int) is a config error that names the field."""
     try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
+        number = kind(value) if type(value) in (int, float) else None
+    except (ValueError, OverflowError):   # int() of nan or inf
         number = None
     if number is None or isinstance(value, float) and number != value:
         raise ConfigError(f"field '{field}' must be "
@@ -81,26 +78,31 @@ def _block(obj: dict, name: str, names, default=None):
     return blk
 
 
-_NUMBER_KINDS = {int: int, float: float, float | None: float}
+_NUMBER_KINDS = {int: int, float: float, float | None: float,
+                 list[int]: int, tuple[int, ...]: int}
 
 
 def _typed(cls, obj: dict, name: str, base: dict | None = None, extra=()):
     """Config block `name` over the values in base, built into a cls (None when
-    the block is absent); the caller reads its `extra` keys. Int and float
-    fields go through _number by annotation (an optional None stays None); a
-    missing field or a value the constructor rejects is a config error too."""
+    the block is absent); the caller reads its `extra` keys. Int, float and int
+    list fields go through _number by annotation (an optional None stays None);
+    a missing field or a value the constructor rejects is a config error too."""
     hints = typing.get_type_hints(cls)
     blk = _block(obj, name, [*hints, *extra])
     if blk is None:
         return None
     args = {k: v for k, v in {**(base or {}), **blk}.items() if k not in extra}
     for f in dataclasses.fields(cls):
-        kind = _NUMBER_KINDS.get(hints[f.name])
+        kind, field = _NUMBER_KINDS.get(hints[f.name]), f"{name}.{f.name}"
         if f.name not in args:
             if f.default is f.default_factory is dataclasses.MISSING:
-                raise ConfigError(f"missing field '{name}.{f.name}'")
+                raise ConfigError(f"missing field '{field}'")
+        elif kind and typing.get_origin(hints[f.name]) in (list, tuple):
+            if not isinstance(args[f.name], (list, tuple)):
+                raise ConfigError(f"field '{field}' must be a list")
+            args[f.name] = [_number(kind, v, field) for v in args[f.name]]
         elif kind and not (args[f.name] is None and hints[f.name] == float | None):
-            args[f.name] = _number(kind, args[f.name], f"{name}.{f.name}")
+            args[f.name] = _number(kind, args[f.name], field)
     try:
         return cls(**args)
     except ConfigError:
@@ -109,21 +111,17 @@ def _typed(cls, obj: dict, name: str, base: dict | None = None, extra=()):
         raise ConfigError(f"field '{name}': {e}") from None
 
 
-def _default_endpoints(task: str) -> tuple[dict, dict]:
-    if task == "gaussian_1d":
-        return ({"kind": "gaussian", "dim": 1, "mean": [0.0], "std": 1.0},
-                {"kind": "gaussian", "dim": 1, "mean": [2.0], "std": 1.0})
-    if task == "gaussian_2d":
-        return ({"kind": "gaussian", "dim": 2, "mean": [0.0, 0.0], "std": 1.0},
-                {"kind": "gaussian", "dim": 2, "mean": [2.0, 1.0], "std": 1.0})
-    if task == "mixture_2d":
-        return ({"kind": "gaussian", "dim": 2, "mean": [0.0, 0.0], "std": 1.0},
-                {"kind": "gaussian_mixture", "dim": 2,
-                 "components": [
-                     {"weight": 0.5, "mean": [-2.0, 0.0], "std": 0.5},
-                     {"weight": 0.5, "mean": [2.0, 0.0], "std": 0.5}]})
-    return ({"kind": "gaussian", "dim": 1, "mean": [0.0], "std": 1.0},
-            {"kind": "gaussian", "dim": 1, "mean": [0.0], "std": 1.0})
+_N01 = {"kind": "gaussian", "dim": 1, "mean": [0.0], "std": 1.0}
+_N02 = {"kind": "gaussian", "dim": 2, "mean": [0.0, 0.0], "std": 1.0}
+# the tasks, each with its default (pi0, pi1)
+_TASK_ENDPOINTS = {
+    "gaussian_1d": (_N01, {**_N01, "mean": [2.0]}),
+    "gaussian_2d": (_N02, {**_N02, "mean": [2.0, 1.0]}),
+    "mixture_2d": (_N02, {"kind": "gaussian_mixture", "dim": 2, "components": [
+        {"weight": 0.5, "mean": [-2.0, 0.0], "std": 0.5},
+        {"weight": 0.5, "mean": [2.0, 0.0], "std": 0.5}]}),
+    "lowerbound": (_N01, _N01),
+}
 
 
 @dataclasses.dataclass
@@ -139,9 +137,6 @@ class SweepSpec:
     steps_exponent: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.grid, list):
-            raise ValueError("grid must be a list")
-        self.grid = [_number(int, v, "sweep.grid") for v in self.grid]
         if len(self.grid) < 5:
             raise ValueError("grid needs >= 5 values")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
@@ -188,8 +183,7 @@ _DEFAULT_TRAIN = {"n_samples": 1024, "batch_size": 64, "steps": 480,
 
 _TOP_FIELDS = ("task", "seed", "out_dir", "pi0", "pi1", "arch", "train",
                "sweep", "bounds", "lowerbound")
-_SPEC_FIELDS = ("kind", "dim", "mean", "std", "components", "points",
-                "subgaussian_sigma")
+_SPEC_FIELDS = ("kind", "dim", "mean", "std", "components", "points")
 
 
 def load_experiment(config_path: str | None, seed_override: int | None = None,
@@ -214,10 +208,10 @@ def load_experiment(config_path: str | None, seed_override: int | None = None,
         raise ConfigError(f"unknown field '{unknown[0]}'")
 
     task = obj.get("task", "gaussian_1d")
-    if task not in _TASKS:
-        raise ConfigError(f"field 'task' must be one of {_TASKS}")
+    if task not in tuple(_TASK_ENDPOINTS):
+        raise ConfigError(f"field 'task' must be one of {tuple(_TASK_ENDPOINTS)}")
     seed = seed_override if seed_override is not None else obj.get("seed", 0)
-    if not isinstance(seed, int) or not (0 <= seed < 2 ** 64):
+    if type(seed) is not int or not (0 <= seed < 2 ** 64):
         source = "--seed" if seed_override is not None else "field 'seed'"
         raise ConfigError(f"{source} must be an unsigned 64-bit integer")
     out_dir = out_override or obj.get("out_dir", "out")
@@ -225,7 +219,7 @@ def load_experiment(config_path: str | None, seed_override: int | None = None,
         raise ConfigError("field 'out_dir' must be a string")
 
     specs = [_block(obj, name, _SPEC_FIELDS, default)
-             for name, default in zip(("pi0", "pi1"), _default_endpoints(task))]
+             for name, default in zip(("pi0", "pi1"), _TASK_ENDPOINTS[task])]
     try:
         pi0, pi1 = map(DistributionSpec.from_json, specs)
     except (KeyError, TypeError, ValueError) as e:
@@ -413,17 +407,14 @@ def cmd_sample(exp: Experiment, args) -> int:
     root = RngStream(exp.seed)
     rounds = []
     if args.reflow > 0:
-        state = ReflowState(round_index=0, net=net)
         for r in range(args.reflow + 1):
             if r:
-                state = reflow(state, exp.pi0, exp.train.n_samples, exp.train,
-                               root.derive(4), integrate_steps=args.steps)
+                net = reflow(net, r - 1, exp.pi0, exp.train.n_samples, exp.train,
+                             root.derive(4), integrate_steps=args.steps)
             _, traj = euler_integrate(
-                state.net, exp.pi0.sample(root.derive(3),
-                                          min(args.count, 1024)),
+                net, exp.pi0.sample(root.derive(3), min(args.count, 1024)),
                 args.steps, record=True)
             rounds.append(straightness(traj))
-        net = state.net
     z0 = exp.pi0.sample(root.derive(5), args.count)
     z1, traj = euler_integrate(net, z0, args.steps,
                                record=args.trajectories)
@@ -460,23 +451,14 @@ def _cell_seed(seed: int, n: int, trial: int) -> int:
     return splitmix64(seed ^ splitmix64(n * 4096 + trial))
 
 
-@dataclasses.dataclass(frozen=True)
-class _SweepJob:
-    """What every sweep cell reads: the experiment, the trained proxy and the
-    shared holdout batch."""
-
-    exp: Experiment
-    proxy: VelocityNet
-    holdout: CoupledBatch
-
-
-def _run_group(job: _SweepJob, n: int) -> list:
+def _run_group(exp: Experiment, proxy: VelocityNet, holdout: CoupledBatch,
+               n: int) -> list:
     """All trials of one n: the cells train in lockstep as one stack, then
     each is scored on its own. Every cell draws its data, init, shuffles and
     evaluation points from its own streams, so results do not depend on how
     cells are grouped. A cell's runtime_ms is its own evaluation time plus
     its share (1/trials) of the group's data, init and training time."""
-    exp, sw = job.exp, job.exp.sweep
+    sw = exp.sweep
     trials = range(sw.trials)
     seeds = tuple(_cell_seed(exp.seed, n, trial) for trial in trials)
     streams = [RngStream(exp.seed).derive(n).derive(trial) for trial in trials]
@@ -498,7 +480,7 @@ def _run_group(job: _SweepJob, n: int) -> list:
         t1 = time.perf_counter()
         if not isinstance(outcome, Exception):
             try:
-                scores = _score_cell(job, net.member(trial), s)
+                scores = _score_cell(exp, proxy, holdout, net.member(trial), s)
                 ms = train_ms + 1000.0 * (time.perf_counter() - t1)
                 results.append(("ok", [n, trial, cell_seed, *scores, ms]))
                 continue
@@ -509,10 +491,11 @@ def _run_group(job: _SweepJob, n: int) -> list:
     return results
 
 
-def _score_cell(job: _SweepJob, net: VelocityNet, s: RngStream) -> list:
+def _score_cell(exp: Experiment, proxy: VelocityNet, holdout: CoupledBatch,
+                net: VelocityNet, s: RngStream) -> list:
     """excess risk, velocity L2 error, W2 of the Euler samples and its baseline."""
-    exp, sw = job.exp, job.exp.sweep
-    excess = excess_risk(net, job.proxy, job.holdout)
+    sw = exp.sweep
+    excess = excess_risk(net, proxy, holdout)
     if gaussian_closed_form(exp.pi0, exp.pi1):
         vel, _ = velocity_l2_error(net, exp.pi0, exp.pi1, sw.eval_samples,
                                    s.derive(3))
@@ -550,7 +533,7 @@ def cmd_sweep(exp: Experiment, args) -> int:
                            sw.eval_samples)
 
     # the trials of one n train in lockstep; --jobs spreads the n values
-    run = functools.partial(_run_group, _SweepJob(exp, proxy, holdout))
+    run = functools.partial(_run_group, exp, proxy, holdout)
     if args.jobs > 1:
         import multiprocessing   # only a pool needs it (10 ms at start-up)
         with multiprocessing.Pool(args.jobs) as pool:

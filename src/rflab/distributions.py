@@ -21,12 +21,7 @@ from .linalg_rng import RngStream, assert_all_finite
 
 @dataclasses.dataclass
 class DistributionSpec:
-    """Declarative distribution: gaussian | gaussian_mixture | empirical.
-
-    subgaussian_sigma is the directional tail parameter used by the truncation
-    machinery; when omitted a conservative default is derived from the declared
-    parameters (exact for a single Gaussian, a documented heuristic otherwise).
-    """
+    """Declarative distribution: gaussian | gaussian_mixture | empirical."""
 
     kind: str
     dim: int
@@ -34,7 +29,6 @@ class DistributionSpec:
     std: float | None = None
     components: list[tuple[float, np.ndarray, float]] | None = None
     points: np.ndarray | None = None
-    subgaussian_sigma: float | None = None
     draws: int = dataclasses.field(default=0, compare=False)
 
     def __post_init__(self):
@@ -46,8 +40,6 @@ class DistributionSpec:
             self.mean = assert_all_finite("mean", self.mean).reshape(self.dim)
             if not (self.std > 0):
                 raise ValueError("std must be > 0")
-            if self.subgaussian_sigma is None:
-                self.subgaussian_sigma = float(self.std)
         elif self.kind == "gaussian_mixture":
             if not self.components:
                 raise ValueError("gaussian_mixture spec needs components")
@@ -63,12 +55,6 @@ class DistributionSpec:
             if abs(total - 1.0) > 1e-12:
                 raise ValueError("mixture weights must sum to 1 within 1e-12")
             self.components = comps
-            if self.subgaussian_sigma is None:
-                # bounded mean shift + per-component gaussian tail; conservative
-                mix_mean = self.mean_vector()
-                dev = max(float(np.linalg.norm(m - mix_mean)) for _, m, _ in comps)
-                smax = max(s for _, _, s in comps)
-                self.subgaussian_sigma = math.sqrt(smax * smax + dev * dev)
         elif self.kind == "empirical":
             if self.points is None:
                 raise ValueError("empirical spec needs points")
@@ -77,24 +63,8 @@ class DistributionSpec:
             if pts.shape[0] < 1:
                 raise ValueError("empirical spec needs at least one point")
             self.points = pts
-            if self.subgaussian_sigma is None:
-                center = pts.mean(axis=0)
-                dev = float(np.max(np.linalg.norm(pts - center, axis=1)))
-                self.subgaussian_sigma = max(dev, 1e-12)
         else:
             raise ValueError(f"unknown distribution kind: {self.kind!r}")
-        if not (self.subgaussian_sigma > 0):
-            raise ValueError("subgaussian_sigma must be > 0")
-
-    def mean_vector(self) -> np.ndarray:
-        if self.kind == "gaussian":
-            return self.mean.copy()
-        if self.kind == "gaussian_mixture":
-            out = np.zeros(self.dim)
-            for w, m, _ in self.components:
-                out += w * m
-            return out
-        return self.points.mean(axis=0)
 
     def sample(self, rng: RngStream, n: int) -> np.ndarray:
         """Draw n i.i.d. points, shape (n, dim); advances the draw counter."""
@@ -120,27 +90,37 @@ class DistributionSpec:
     def from_json(cls, obj: dict) -> "DistributionSpec":
         """The spec of a config block; a given `dim` must be its data's width."""
         kind = obj.get("kind")
-        sigma = obj.get("subgaussian_sigma")
         if kind == "gaussian":
-            mean = np.asarray(obj["mean"], dtype=np.float64).reshape(-1)
-            spec = cls(kind, mean.size, mean=mean, std=float(obj["std"]),
-                       subgaussian_sigma=sigma)
+            mean = np.asarray(_json_numbers(obj["mean"], "mean"), dtype=np.float64)
+            spec = cls(kind, mean.size, mean=mean,
+                       std=float(_json_numbers(obj["std"], "std")))
         elif kind == "gaussian_mixture":
             comps = [
-                (float(c["weight"]), np.asarray(c["mean"], dtype=np.float64).reshape(-1),
-                 float(c["std"]))
+                (float(_json_numbers(c["weight"], "weight")),
+                 np.asarray(_json_numbers(c["mean"], "mean"), dtype=np.float64),
+                 float(_json_numbers(c["std"], "std")))
                 for c in obj["components"]
             ]
-            spec = cls(kind, comps[0][1].size, components=comps, subgaussian_sigma=sigma)
+            spec = cls(kind, comps[0][1].size, components=comps)
         elif kind == "empirical":
-            pts = np.asarray(obj["points"], dtype=np.float64)
-            pts = pts.reshape(pts.shape[0], -1)
-            spec = cls(kind, pts.shape[1], points=pts, subgaussian_sigma=sigma)
+            pts = np.asarray(_json_numbers(obj["points"], "points"), dtype=np.float64)
+            pts = pts.reshape(len(pts), -1)
+            spec = cls(kind, pts.shape[1], points=pts)
         else:
             raise ValueError(f"unknown distribution kind: {kind!r}")
         if obj.get("dim", spec.dim) != spec.dim:
             raise ValueError(f"dim {obj['dim']!r} is not the data's width {spec.dim}")
         return spec
+
+
+def _json_numbers(value, name: str):
+    """value if it is a JSON number or lists of them nested to any depth."""
+    if isinstance(value, list):
+        for v in value:
+            _json_numbers(v, name)
+    elif type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    return value
 
 
 def interpolate(x0: np.ndarray, x1: np.ndarray, t) -> np.ndarray:

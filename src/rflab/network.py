@@ -23,10 +23,6 @@ import numpy as np
 from .distributions import CoupledBatch
 from .linalg_rng import RngStream, as_field_input, l1_project_row
 
-# Architecture constant in the parameter-Lipschitz bound L_theta = C_ARCH * D * (L_phi V)^D.
-# The source bound leaves the constant unnamed; we fix 1.0 and report it.
-C_ARCH = 1.0
-
 # A forward pass that keeps no activations runs in blocks whose widest buffer,
 # rows x members x widest layer x 8 bytes, stays within FORWARD_BLOCK_BYTES:
 # under the 1 MiB mmap threshold set in rflab/__init__.py, so block buffers
@@ -126,29 +122,6 @@ class NetArchitecture:
 
     def act(self) -> Activation:
         return make_activation(self.activation, self.act_bound)
-
-
-@dataclasses.dataclass(frozen=True)
-class LipschitzReport:
-    state_lipschitz: float   # (L_phi V)^(D-1), Lipschitz in x
-    param_lipschitz: float   # C_ARCH * D * (L_phi V)^D, Lipschitz in theta
-    out_bound: float         # M0 = V * b, uniform sup-norm output bound
-    loss_lipschitz: float    # 2 * (M0 + M_disp)
-    c_arch: float = C_ARCH
-
-
-def lipschitz_report(arch: NetArchitecture, m_disp: float = 0.0) -> LipschitzReport:
-    if m_disp < 0:
-        raise ValueError("m_disp must be >= 0")
-    act = arch.act()
-    lv = act.lipschitz * arch.l1_budget
-    m0 = arch.l1_budget * arch.act_bound
-    return LipschitzReport(
-        state_lipschitz=lv ** (arch.depth - 1),
-        param_lipschitz=C_ARCH * arch.depth * lv ** arch.depth,
-        out_bound=m0,
-        loss_lipschitz=2.0 * (m0 + m_disp),
-    )
 
 
 def _layer_views(arch: NetArchitecture, flat: np.ndarray) -> list[np.ndarray]:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .distributions import DistributionSpec
+from .distributions import DistributionSpec, draw_coupled
 from .linalg_rng import RngStream, as_field_input
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -28,6 +28,11 @@ def gaussian_closed_form(pi0: DistributionSpec, pi1: DistributionSpec) -> bool:
             and abs(pi0.std - pi1.std) <= 1e-12 * max(pi0.std, pi1.std))
 
 
+def _require_closed_form(pi0: DistributionSpec, pi1: DistributionSpec) -> None:
+    if not gaussian_closed_form(pi0, pi1):
+        raise ValueError("closed form needs gaussian endpoints of equal dim and std")
+
+
 def vstar_gaussian(pi0: DistributionSpec, pi1: DistributionSpec, x, t):
     """Exact optimal velocity E[X1 - X0 | X_t = x] for equal-std gaussians:
 
@@ -36,8 +41,7 @@ def vstar_gaussian(pi0: DistributionSpec, pi1: DistributionSpec, x, t):
     The variance cancels from the regression coefficient. x may be (d,) or
     (n, d); t a scalar in [0,1] or (n,).
     """
-    if not gaussian_closed_form(pi0, pi1):
-        raise ValueError("closed form needs gaussian endpoints of equal dim and std")
+    _require_closed_form(pi0, pi1)
     xb, tb, single = as_field_input(x, t)
     coef = (2.0 * tb - 1.0) / ((1.0 - tb) ** 2 + tb ** 2)
     center = (1.0 - tb)[:, None] * pi0.mean + tb[:, None] * pi1.mean
@@ -51,11 +55,9 @@ def velocity_l2_error(net, pi0: DistributionSpec, pi1: DistributionSpec,
     velocity error int_0^1 E||net(X_t, t) - v*(X_t, t)||^2 dt."""
     if n_mc < 2:
         raise ValueError("n_mc must be >= 2")
-    x0 = pi0.sample(rng, n_mc)
-    x1 = pi1.sample(rng, n_mc)
-    t = rng.gen.uniform(0.0, 1.0, size=n_mc)
-    xt = (1.0 - t)[:, None] * x0 + t[:, None] * x1
-    gap = np.asarray(net(xt, t)) - vstar_gaussian(pi0, pi1, xt, t)
+    _require_closed_form(pi0, pi1)   # before drawing: unequal dims cannot pair
+    b = draw_coupled(rng, pi0, pi1, n_mc)
+    gap = np.asarray(net(b.xt, b.t)) - vstar_gaussian(pi0, pi1, b.xt, b.t)
     vals = np.sum(gap * gap, axis=1)
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n_mc))

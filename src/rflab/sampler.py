@@ -17,7 +17,7 @@ import numpy as np
 from .distributions import DistributionSpec, couple_given
 from .linalg_rng import RngStream, as_field_input, splitmix64
 from .network import VelocityNet
-from .training import TrainConfig, TrainTrace, train
+from .training import TrainConfig, train
 
 MAX_REFLOW_ROUNDS = 3
 
@@ -90,33 +90,20 @@ def straightness(traj: FlowTrajectory) -> float:
     return float(chord_deviations(traj).mean())
 
 
-@dataclasses.dataclass
-class ReflowState:
-    """round_index 0 holds the data-trained net and an empty buffer; round k >= 1
-    holds the net retrained on couplings generated by the round-(k-1) net."""
-
-    round_index: int
-    net: VelocityNet
-    z0: np.ndarray | None = None
-    z1: np.ndarray | None = None
-    trace: TrainTrace | None = None
-
-
-def reflow(state: ReflowState, pi0: DistributionSpec, n_synth: int,
-           cfg: TrainConfig, rng: RngStream, integrate_steps: int = 100) -> ReflowState:
-    """One reflow round: fresh pi0 draws -> Euler endpoints under the current
-    net -> retrain (warm-started) on the coupled pairs. Consumes no target
-    samples by construction; rounds are capped at 3."""
-    if state.round_index >= MAX_REFLOW_ROUNDS:
+def reflow(net: VelocityNet, round_index: int, pi0: DistributionSpec,
+           n_synth: int, cfg: TrainConfig, rng: RngStream,
+           integrate_steps: int = 100) -> VelocityNet:
+    """Round round_index + 1 (of at most 3) for a net that has had round_index
+    rounds: fresh pi0 draws -> Euler endpoints under net -> a copy of net,
+    retrained on the coupled pairs, is returned. Draws no target samples."""
+    if round_index >= MAX_REFLOW_ROUNDS:
         raise ValueError(f"reflow is capped at {MAX_REFLOW_ROUNDS} rounds")
-    if n_synth < 1:
-        raise ValueError("n_synth must be >= 1")
     z0 = pi0.sample(rng.derive(1), n_synth)
-    z1, _ = euler_integrate(state.net, z0, integrate_steps)
+    z1, _ = euler_integrate(net, z0, integrate_steps)
     pairs = couple_given(rng.derive(2), z0, z1)
-    net = state.net.copy()
+    out = net.copy()
     cfg_round = dataclasses.replace(
         cfg, n_samples=n_synth,
-        seed=splitmix64(cfg.seed ^ splitmix64(state.round_index + 1)))
-    trace = train(net, pairs, cfg_round)
-    return ReflowState(state.round_index + 1, net, z0, z1, trace)
+        seed=splitmix64(cfg.seed ^ splitmix64(round_index + 1)))
+    train(out, pairs, cfg_round)
+    return out

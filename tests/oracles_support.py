@@ -46,9 +46,10 @@ def conditional_mean_mc(pi0: DistributionSpec, pi1: DistributionSpec, t: float,
     return means, stderr, counts
 
 
-def pair_subgaussian_sigma(pi0: DistributionSpec, pi1: DistributionSpec) -> float:
-    """Tail parameter for the displacement X1 - X0 of an independent coupling."""
-    return math.sqrt(pi0.subgaussian_sigma ** 2 + pi1.subgaussian_sigma ** 2)
+def pair_subgaussian_sigma(s0: float, s1: float) -> float:
+    """Tail parameter for the displacement X1 - X0 of an independent coupling
+    of two gaussians with stds s0 and s1."""
+    return math.sqrt(s0 ** 2 + s1 ** 2)
 
 
 def tail_mass_outside(pi0: DistributionSpec, pi1: DistributionSpec, M: float,

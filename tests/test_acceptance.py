@@ -28,7 +28,7 @@ from rflab.network import NetArchitecture, VelocityNet, finite_diff_grad
 from rflab.oracles import (LowerBoundInstance, posterior_weights,
                            tv_distance_mixtures, velocity_separation,
                            vstar_gaussian)
-from rflab.sampler import ReflowState, euler_integrate, reflow, straightness
+from rflab.sampler import euler_integrate, reflow, straightness
 from rflab.training import TrainConfig
 
 
@@ -290,13 +290,13 @@ def test_c09_reflow_straightens_and_does_not_hurt_w2():
         w_before = w2_empirical(euler_integrate(net, z0, 1)[0], ref)
 
         draws_frozen = pi1.draws
-        state = reflow(ReflowState(round_index=0, net=net), pi0, 2048, cfg,
-                       root.derive(5), integrate_steps=64)
+        net1 = reflow(net, 0, pi0, 2048, cfg, root.derive(5),
+                      integrate_steps=64)
         assert pi1.draws == draws_frozen  # reflow consumes no target draws
 
-        _, traj1 = euler_integrate(state.net, z0, 64, record=True)
+        _, traj1 = euler_integrate(net1, z0, 64, record=True)
         s_after = straightness(traj1)
-        w_after = w2_empirical(euler_integrate(state.net, z0, 1)[0], ref)
+        w_after = w2_empirical(euler_integrate(net1, z0, 1)[0], ref)
         wins_straight += s_after < s_before
         wins_w2 += w_after <= w_before
     elapsed = time.perf_counter() - t0
@@ -312,7 +312,7 @@ def test_c10_truncation_tail_budget():
     t0 = time.perf_counter()
     pi0, pi1 = _gauss1d()
     n = 10_000
-    sigma = pair_subgaussian_sigma(pi0, pi1)
+    sigma = pair_subgaussian_sigma(pi0.std, pi1.std)
     M = truncation_level(sigma, n)
     data = draw_coupled(RngStream(123), pi0, pi1, n)
     exceed = int(np.sum(np.linalg.norm(data.disp, axis=1) > M))

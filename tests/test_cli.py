@@ -70,8 +70,8 @@ def test_unknown_task_names_the_field(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("seed,flag", [(-3, None), (2 ** 64, None),
-                                       (1.5, None), (0, "-1")],
-                         ids=["-3", str(2 ** 64), "1.5", "flag"])
+                                       (1.5, None), (True, None), (0, "-1")],
+                         ids=["-3", str(2 ** 64), "1.5", "True", "flag"])
 def test_bad_seed_rejected(tmp_path, capsys, seed, flag):
     # a bad --seed is reported as the flag, not as the config field
     cfg = _write_config(tmp_path, {"seed": seed})
@@ -137,6 +137,7 @@ _LOWERBOUND_BLOCK = {"R": 10.0, "epsilon": 0.1}
 _BOUNDS_BLOCK = {"P": 4, "n": 20000, "B": 0.02, "L_ell": 1.0, "mu": 1.0,
                  "L_theta": 1.0}
 _DIM3_GAUSSIAN = {"kind": "gaussian", "dim": 3, "mean": [0.0], "std": 1.0}
+_GAUSSIAN = {"kind": "gaussian", "mean": [0.0], "std": 1.0}
 _TRAIN_BLOCK = {"n_samples": 64, "batch_size": 32, "steps": 4}
 
 # config, command, the field the message must name; each of these exited 0,
@@ -165,6 +166,9 @@ _CONFIG_PROBES = {
                     "unknown field 'train.stpes'"),
     "pi0-sd": ({"pi0": {"kind": "gaussian", "mean": [0.0], "std": 1.0,
                         "sd": 2.0}}, "gradcheck", "unknown field 'pi0.sd'"),
+    "pi0-subgaussian-sigma": ({"pi0": {**_GAUSSIAN, "subgaussian_sigma": 1.0}},
+                              "gradcheck",
+                              "unknown field 'pi0.subgaussian_sigma'"),
     "pi1-not-an-object": ({"pi1": 5}, "gradcheck",
                           "field 'pi1' must be a JSON object"),
     "lowerbound-grid-m": ({"lowerbound": {**_LOWERBOUND_BLOCK, "grid_m": 5}},
@@ -197,6 +201,33 @@ _CONFIG_PROBES = {
     "train-on-sweep-config-big-batch": (
         {"train": {"batch_size": 2048}, "sweep": _SWEEP_BLOCK}, "train",
         "field 'train.n_samples' must be >= 1"),
+    # a string or a boolean where a number belongs is not read as one
+    "train-c-numeric-text": ({"train": {**_TRAIN_BLOCK, "c": "0.5"}}, "train",
+                             "field 'train.c' must be a number, not '0.5'"),
+    "train-steps-true": ({"train": {**_TRAIN_BLOCK, "steps": True}}, "train",
+                         "field 'train.steps' must be an integer, not True"),
+    "arch-hidden-fraction": ({"train": _TRAIN_BLOCK, "arch": {"hidden": [8.5]}},
+                             "train",
+                             "field 'arch.hidden' must be an integer, not 8.5"),
+    "arch-hidden-text": ({"train": _TRAIN_BLOCK, "arch": {"hidden": ["8"]}},
+                         "train",
+                         "field 'arch.hidden' must be an integer, not '8'"),
+    "arch-hidden-number": ({"train": _TRAIN_BLOCK, "arch": {"hidden": 8}},
+                           "train", "field 'arch.hidden' must be a list"),
+    "sweep-grid-numeric-text": (
+        {"sweep": {**_SWEEP_BLOCK, "grid": [str(n) for n in _SWEEP_BLOCK["grid"]]}},
+        "sweep", "field 'sweep.grid' must be an integer, not '32'"),
+    "bounds-sigma-numeric-text": ({"bounds": {**_BOUNDS_BLOCK, "sigma": "2"}},
+                                  "bounds",
+                                  "field 'bounds.sigma' must be a number, not '2'"),
+    "pi0-std-text": ({"pi0": {**_GAUSSIAN, "std": "1"}}, "gradcheck",
+                     "field 'pi0'/'pi1': std must be a number, not '1'"),
+    "pi1-mean-true": ({"pi1": {**_GAUSSIAN, "mean": [True]}}, "gradcheck",
+                      "field 'pi0'/'pi1': mean must be a number, not True"),
+    "pi1-weight-text": (
+        {"pi1": {"kind": "gaussian_mixture", "components": [
+            {"weight": "1", "mean": [0.0], "std": 1.0}]}}, "gradcheck",
+        "field 'pi0'/'pi1': weight must be a number, not '1'"),
 }
 
 
@@ -212,6 +243,22 @@ def test_config_typos_exit_config_before_any_work(tmp_path, capsys, obj,
     assert code == EXIT_CONFIG
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+# the block each preset's command line in the README needs
+_PRESET_BLOCKS = {"bounds_table.json": "bounds", "gaussian1d_sweep.json": "sweep",
+                  "gaussian1d_train.json": "train", "lowerbound.json": "lowerbound",
+                  "mixture2d_reflow.json": "train"}
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(_CONFIGS)))
+def test_every_shipped_preset_loads(name):
+    path = os.path.join(_CONFIGS, name)
+    exp = cli.load_experiment(path)
+    block = _PRESET_BLOCKS[name]
+    assert block in _read_json(path)
+    assert getattr(exp, block) is not None
 
 
 def test_lowerbound_block_requires_R(tmp_path, capsys):
@@ -703,6 +750,29 @@ def test_sweep_with_no_usable_cell_exits_3(tmp_path, monkeypatch, capsys):
     assert len(_read_csv(out / "sweep_failures.csv")[2]) == 10
     assert len(_read_json(out / "sweep_fit.json")["skipped_fits"]) == 2
     assert "sweep: no usable cell" in capsys.readouterr().err
+
+
+def test_sweep_value_error_in_a_cell_exits_3_before_any_output(tmp_path,
+                                                              monkeypatch,
+                                                              capsys):
+    # a ValueError is no cell failure: the sweep stops and writes no file
+    real_score = cli._score_cell
+    calls = []
+
+    def failing_score(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ValueError("precondition broken in one cell")
+        return real_score(*args)
+
+    monkeypatch.setattr(cli, "_score_cell", failing_score)
+    cfg = _write_config(tmp_path, _SMALL_SWEEP)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "sweep"]) == EXIT_NUMERIC
+    assert "numeric failure: precondition broken in one cell" \
+        in capsys.readouterr().err
+    for name in ("sweep.csv", "sweep_failures.csv", "sweep_fit.json"):
+        assert not (out / name).exists()
 
 
 def test_sweep_rerun_and_jobs_agree(tmp_path):

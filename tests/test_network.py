@@ -16,9 +16,9 @@ import rflab
 import rflab.network
 from rflab.distributions import CoupledBatch, draw_coupled, DistributionSpec
 from rflab.linalg_rng import RngStream
+from rflab.bounds import BoundInputs
 from rflab.network import (CHECKPOINT_FORMAT, NetArchitecture, VelocityNet,
-                           finite_diff_grad, lipschitz_report,
-                           load_checkpoint, make_activation,
+                           finite_diff_grad, load_checkpoint, make_activation,
                            save_checkpoint)
 
 
@@ -296,35 +296,34 @@ def test_output_bound_scales_with_act_bound():
 # -- lipschitz bookkeeping ------------------------------------------------------------
 
 
+def _bound_inputs(arch, m_disp=0.0):
+    return BoundInputs.from_architecture(arch, mu=1.0, n=1, m_disp=m_disp)
+
+
 def test_lipschitz_report_frozen_arithmetic():
-    rep = lipschitz_report(_arch(dim=1, hidden=(8,), V=4.0), m_disp=6.0)
-    assert rep.state_lipschitz == 4.0          # (L_phi V)^(D-1), D=2
-    assert rep.param_lipschitz == 32.0         # C_ARCH * D * (L_phi V)^D = 1*2*16
-    assert rep.out_bound == 4.0                # V * b
-    assert rep.loss_lipschitz == 20.0          # 2 (M0 + M_disp)
-    rep3 = lipschitz_report(_arch(dim=1, hidden=(8, 8), V=4.0))
-    assert rep3.state_lipschitz == 16.0
-    assert rep3.param_lipschitz == 3.0 * 64.0
-    # sigmoid folds L_phi = 1/4 into the products
-    reps = lipschitz_report(_arch(dim=1, hidden=(8,), activation="sigmoid", V=4.0))
-    assert reps.state_lipschitz == 1.0
-    assert reps.param_lipschitz == 2.0
+    inp = _bound_inputs(_arch(dim=1, hidden=(8,), V=4.0), m_disp=6.0)
+    assert inp.L_theta == 32.0                 # C_ARCH * D * (L_phi V)^D = 1*2*16
+    assert inp.L_ell == 20.0                   # 2 (M0 + M_disp), M0 = V b = 4
+    assert _bound_inputs(_arch(dim=1, hidden=(8, 8), V=4.0)).L_theta == 3.0 * 64.0
+    # sigmoid folds L_phi = 1/4 into the product
+    sig = _arch(dim=1, hidden=(8,), activation="sigmoid", V=4.0)
+    assert _bound_inputs(sig).L_theta == 2.0
 
 
 def test_loss_lipschitz_helper():
     # 2 (M0 + M_disp): the output bound M0 = V b plus the displacement bound
     arch = _arch(dim=1, hidden=(8,), V=4.0)
-    assert lipschitz_report(arch).loss_lipschitz == 8.0
-    assert lipschitz_report(arch, m_disp=6.0).loss_lipschitz == 20.0
+    assert _bound_inputs(arch).L_ell == 8.0
+    assert _bound_inputs(arch, m_disp=6.0).L_ell == 20.0
     with pytest.raises(ValueError):
-        lipschitz_report(_arch(), m_disp=-1.0)
+        _bound_inputs(_arch(), m_disp=-1.0)
 
 
 def test_contractive_budget_bounds_state_lipschitz():
-    # V <= 1 with tanh keeps every layer 1-Lipschitz, so the reported
-    # state constant is a true bound on measured sup-norm ratios
+    # V <= 1 with tanh keeps every layer 1-Lipschitz, so the state constant
+    # (L_phi V)^(D-1) is a true bound on measured sup-norm ratios
     arch = _arch(dim=2, hidden=(5, 4), V=0.8)
-    rep = lipschitz_report(arch)
+    state_lipschitz = (arch.act().lipschitz * arch.l1_budget) ** (arch.depth - 1)
     net = VelocityNet.init(arch, RngStream(3))
     gen = np.random.default_rng(3)
     t = 0.4
@@ -333,7 +332,7 @@ def test_contractive_budget_bounds_state_lipschitz():
         y = x + gen.normal(size=2) * 0.1
         num = np.abs(net(x, t) - net(y, t)).max()
         den = np.abs(x - y).max()
-        assert num <= rep.state_lipschitz * den + 1e-12
+        assert num <= state_lipschitz * den + 1e-12
 
 
 def test_layerwise_product_bounds_measured_slope():

@@ -6,9 +6,8 @@ import pytest
 from rflab.distributions import DistributionSpec
 from rflab.linalg_rng import RngStream
 from rflab.network import NetArchitecture, VelocityNet
-from rflab.sampler import (MAX_REFLOW_ROUNDS, FlowTrajectory, ReflowState,
-                           chord_deviations, euler_integrate, reflow,
-                           straightness)
+from rflab.sampler import (MAX_REFLOW_ROUNDS, FlowTrajectory, chord_deviations,
+                           euler_integrate, reflow, straightness)
 from rflab.training import TrainConfig
 
 
@@ -156,24 +155,22 @@ def _reflow_cfg(n):
 
 def test_reflow_round_bookkeeping():
     pi0 = _gauss([0.0])
-    state = ReflowState(round_index=0, net=_trained_toy_net())
-    out = reflow(state, pi0, 64, _reflow_cfg(64), RngStream(11), integrate_steps=20)
-    assert out.round_index == 1
-    assert out.z0.shape == (64, 1)
-    assert out.z1.shape == (64, 1)
-    assert out.trace is not None
-    # the input state is untouched and the new net is a distinct object
-    assert state.round_index == 0
-    assert out.net is not state.net
+    net = _trained_toy_net()
+    theta = net.get_theta().copy()
+    out = reflow(net, 0, pi0, 64, _reflow_cfg(64), RngStream(11), integrate_steps=20)
+    # the input net is untouched and the retrained net is a distinct object
+    assert out is not net
+    assert (net.get_theta() == theta).all()
+    assert (out.get_theta() != theta).any()
 
 
 def test_reflow_never_draws_from_target():
     pi0 = _gauss([0.0])
     pi1 = _gauss([2.0])
-    state = ReflowState(round_index=0, net=_trained_toy_net())
+    net = _trained_toy_net()
     before = pi1.draws
-    state = reflow(state, pi0, 32, _reflow_cfg(32), RngStream(3), integrate_steps=10)
-    state = reflow(state, pi0, 32, _reflow_cfg(32), RngStream(4), integrate_steps=10)
+    net = reflow(net, 0, pi0, 32, _reflow_cfg(32), RngStream(3), integrate_steps=10)
+    net = reflow(net, 1, pi0, 32, _reflow_cfg(32), RngStream(4), integrate_steps=10)
     assert pi1.draws == before
     assert pi0.draws == 64
 
@@ -181,28 +178,26 @@ def test_reflow_never_draws_from_target():
 def test_reflow_round_cap():
     assert MAX_REFLOW_ROUNDS == 3
     pi0 = _gauss([0.0])
-    state = ReflowState(round_index=0, net=_trained_toy_net())
-    for _ in range(MAX_REFLOW_ROUNDS):
-        state = reflow(state, pi0, 32, _reflow_cfg(32), RngStream(7),
-                       integrate_steps=10)
-    assert state.round_index == 3
+    net = _trained_toy_net()
+    for k in range(MAX_REFLOW_ROUNDS):
+        net = reflow(net, k, pi0, 32, _reflow_cfg(32), RngStream(7),
+                     integrate_steps=10)
     with pytest.raises(ValueError, match="capped"):
-        reflow(state, pi0, 32, _reflow_cfg(32), RngStream(7), integrate_steps=10)
+        reflow(net, MAX_REFLOW_ROUNDS, pi0, 32, _reflow_cfg(32), RngStream(7),
+               integrate_steps=10)
 
 
 def test_reflow_is_deterministic():
     pi0_a = _gauss([0.0])
     pi0_b = _gauss([0.0])
-    out_a = reflow(ReflowState(0, _trained_toy_net()), pi0_a, 48,
+    out_a = reflow(_trained_toy_net(), 0, pi0_a, 48,
                    _reflow_cfg(48), RngStream(9), integrate_steps=10)
-    out_b = reflow(ReflowState(0, _trained_toy_net()), pi0_b, 48,
+    out_b = reflow(_trained_toy_net(), 0, pi0_b, 48,
                    _reflow_cfg(48), RngStream(9), integrate_steps=10)
-    assert (out_a.z0 == out_b.z0).all()
-    assert (out_a.z1 == out_b.z1).all()
-    assert (out_a.net.get_theta() == out_b.net.get_theta()).all()
+    assert (out_a.get_theta() == out_b.get_theta()).all()
 
 
 def test_reflow_validates_n_synth():
     with pytest.raises(ValueError):
-        reflow(ReflowState(0, _trained_toy_net()), _gauss([0.0]), 0,
-               _reflow_cfg(1), RngStream(0))
+        reflow(_trained_toy_net(), 0, _gauss([0.0]), 0, _reflow_cfg(1),
+               RngStream(0))
