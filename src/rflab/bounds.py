@@ -256,9 +256,6 @@ class RademacherReport:
 
     value: float
     per_sign: np.ndarray
-    r: float
-    n_signs: int
-    n_restarts: int
     best_thetas: list
 
 
@@ -365,9 +362,7 @@ def empirical_local_rademacher(sampler, net_ref, data, r: float,
                 best_theta = net.theta[k].copy()
         per_sign[s] = best
         best_thetas.append(best_theta)
-    return RademacherReport(
-        value=float(per_sign.mean()), per_sign=per_sign, r=r,
-        n_signs=n_signs, n_restarts=n_restarts, best_thetas=best_thetas)
+    return RademacherReport(float(per_sign.mean()), per_sign, best_thetas)
 
 
 # -- truncation budget ----------------------------------------------------------
@@ -415,11 +410,9 @@ class BoundReport:
     truncation: TruncationReport
 
 
-def full_report(inputs: BoundInputs, sigma: float = 1.0,
-                covering_eps: float | None = None) -> BoundReport:
+def full_report(inputs: BoundInputs, sigma: float = 1.0) -> BoundReport:
     """Evaluate the whole bound chain at the given inputs."""
-    if covering_eps is None:
-        covering_eps = min(1.0 / math.sqrt(inputs.n), 2.0 * inputs.b)
+    covering_eps = min(1.0 / math.sqrt(inputs.n), 2.0 * inputs.b)
     psi, r_star, r_root = psi_and_fixed_point(inputs)
     return BoundReport(
         inputs=inputs,

@@ -51,17 +51,26 @@ class ConfigError(ValueError):
 
 
 def _number(kind, value, field: str):
-    """kind(value) for kind int or float; a string, a boolean or a value kind
-    would change (4.5 for an int) is a config error that names the field."""
+    """kind(value) for kind int or float; a string, a boolean, a non-finite
+    float (JSON Infinity) or a value kind would change (4.5 for an int) is a
+    config error that names the field."""
     try:
         number = kind(value) if type(value) in (int, float) else None
     except (ValueError, OverflowError):   # int() of nan or inf
         number = None
-    if number is None or isinstance(value, float) and number != value:
+    if number is None or isinstance(value, float) \
+            and not (math.isfinite(value) and number == value):
         raise ConfigError(f"field '{field}' must be "
                           f"{'an integer' if kind is int else 'a number'}, "
                           f"not {value!r}")
     return number
+
+
+def _floats(value, field: str) -> np.ndarray:
+    """A JSON number, or lists of them nested to any depth, as float64."""
+    for v in np.asarray(value, dtype=object).flat:
+        _number(float, v, field)
+    return np.asarray(value, dtype=np.float64)
 
 
 def _block(obj: dict, name: str, names, default=None):
@@ -186,6 +195,44 @@ _TOP_FIELDS = ("task", "seed", "out_dir", "pi0", "pi1", "arch", "train",
 _SPEC_FIELDS = ("kind", "dim", "mean", "std", "components", "points")
 
 
+def _endpoint(obj: dict, name: str, default: dict) -> DistributionSpec:
+    """The pi0 or pi1 block as a DistributionSpec. A missing number reads as
+    null ("must be a number, not None"); a given `dim` must be the width of
+    its means or point rows."""
+    blk = _block(obj, name, _SPEC_FIELDS, default)
+    kind = blk.get("kind")
+    try:
+        if kind == "gaussian":
+            mean = _floats(blk.get("mean"), f"{name}.mean")
+            spec = DistributionSpec(kind, mean.size, mean=mean, std=_number(
+                float, blk.get("std"), f"{name}.std"))
+        elif kind == "gaussian_mixture":
+            comps = []
+            for i, c in enumerate(blk.get("components") or ()):
+                field = f"{name}.components[{i}]"
+                c = _block({field: c}, field, ("weight", "mean", "std"))
+                comps.append((_number(float, c.get("weight"), f"{field}.weight"),
+                              _floats(c.get("mean"), f"{field}.mean"),
+                              _number(float, c.get("std"), f"{field}.std")))
+            spec = DistributionSpec(kind, comps[0][1].size if comps else 1,
+                                    components=comps)
+        elif kind == "empirical":
+            pts = _floats(blk.get("points"), f"{name}.points")
+            pts = pts.reshape(len(pts), -1)
+            spec = DistributionSpec(kind, pts.shape[1], points=pts)
+        else:
+            raise ConfigError(f"field '{name}.kind' must be one of "
+                              f"('gaussian', 'gaussian_mixture', 'empirical')")
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as e:   # scalar points, rejected values
+        raise ConfigError(f"field '{name}': {e}") from None
+    if "dim" in blk and _number(int, blk["dim"], f"{name}.dim") != spec.dim:
+        raise ConfigError(f"field '{name}.dim' is {blk['dim']}, not the data's "
+                          f"width {spec.dim}")
+    return spec
+
+
 def load_experiment(config_path: str | None, seed_override: int | None = None,
                     out_override: str | None = None) -> Experiment:
     if config_path is None:
@@ -218,12 +265,8 @@ def load_experiment(config_path: str | None, seed_override: int | None = None,
     if not isinstance(out_dir, str):
         raise ConfigError("field 'out_dir' must be a string")
 
-    specs = [_block(obj, name, _SPEC_FIELDS, default)
-             for name, default in zip(("pi0", "pi1"), _TASK_ENDPOINTS[task])]
-    try:
-        pi0, pi1 = map(DistributionSpec.from_json, specs)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"field 'pi0'/'pi1': {e}") from None
+    pi0, pi1 = (_endpoint(obj, name, default)
+                for name, default in zip(("pi0", "pi1"), _TASK_ENDPOINTS[task]))
     if pi0.dim != pi1.dim:
         raise ConfigError("field 'pi0'/'pi1': dimensions differ")
 
@@ -235,10 +278,8 @@ def load_experiment(config_path: str | None, seed_override: int | None = None,
     # a sweep sets n_samples per cell, so its train block is checked with
     # n_samples unset (0); the default applies where the batch fits in it
     per_cell = "sweep" in obj
-    train = dataclasses.replace(_typed(
-        TrainConfig, obj, "train",
-        {**_DEFAULT_TRAIN, "n_samples": 0} if per_cell else _DEFAULT_TRAIN),
-        seed=seed)
+    train = _typed(TrainConfig, obj, "train",
+                   {**_DEFAULT_TRAIN, "n_samples": 0} if per_cell else _DEFAULT_TRAIN)
     default_n = _DEFAULT_TRAIN["n_samples"]
     if per_cell and "n_samples" not in obj["train"] \
             and train.batch_size <= default_n:
@@ -356,7 +397,7 @@ def cmd_train(exp: Experiment, args) -> int:
     root = RngStream(exp.seed)
     data = draw_coupled(root.derive(1), exp.pi0, exp.pi1, exp.train.n_samples)
     net = VelocityNet.init(exp.arch, root.derive(2))
-    trace = train(net, data, exp.train)
+    trace = train(net, data, exp.train, seed=exp.seed)
     save_checkpoint(net, os.path.join(out, "checkpoint.bin"), seed=exp.seed,
                     step=exp.train.steps,
                     extra={"config_sha256": exp.sha, "version": __version__})
@@ -410,7 +451,8 @@ def cmd_sample(exp: Experiment, args) -> int:
         for r in range(args.reflow + 1):
             if r:
                 net = reflow(net, r - 1, exp.pi0, exp.train.n_samples, exp.train,
-                             root.derive(4), integrate_steps=args.steps)
+                             root.derive(4), integrate_steps=args.steps,
+                             seed=exp.seed)
             _, traj = euler_integrate(
                 net, exp.pi0.sample(root.derive(3), min(args.count, 1024)),
                 args.steps, record=True)
@@ -470,9 +512,8 @@ def _run_group(exp: Experiment, proxy: VelocityNet, holdout: CoupledBatch,
     batch = min(exp.train.batch_size, n)
     steps = _sweep_steps(sw.epochs, n, batch, sw.steps_exponent)
     cfg = dataclasses.replace(exp.train, n_samples=n, batch_size=batch,
-                              steps=steps, seed=seeds,
-                              record_every=max(1, steps))
-    outcomes = train(net, data, cfg)
+                              steps=steps, record_every=max(1, steps))
+    outcomes = train(net, data, cfg, seed=seeds)
     train_ms = 1000.0 * (time.perf_counter() - t0) / sw.trials
 
     results = []
@@ -518,9 +559,8 @@ def _train_proxy(exp: Experiment) -> VelocityNet:
     steps = _sweep_steps(sw.proxy_epochs, sw.proxy_n, batch, sw.steps_exponent)
     cfg = dataclasses.replace(exp.train, n_samples=sw.proxy_n,
                               batch_size=batch, steps=steps,
-                              seed=splitmix64(exp.seed ^ 0x70),
                               record_every=max(1, steps))
-    train(net, data, cfg)
+    train(net, data, cfg, seed=splitmix64(exp.seed ^ 0x70))
     return net
 
 

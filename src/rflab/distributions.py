@@ -86,42 +86,6 @@ class DistributionSpec:
         self.draws += n
         return out
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "DistributionSpec":
-        """The spec of a config block; a given `dim` must be its data's width."""
-        kind = obj.get("kind")
-        if kind == "gaussian":
-            mean = np.asarray(_json_numbers(obj["mean"], "mean"), dtype=np.float64)
-            spec = cls(kind, mean.size, mean=mean,
-                       std=float(_json_numbers(obj["std"], "std")))
-        elif kind == "gaussian_mixture":
-            comps = [
-                (float(_json_numbers(c["weight"], "weight")),
-                 np.asarray(_json_numbers(c["mean"], "mean"), dtype=np.float64),
-                 float(_json_numbers(c["std"], "std")))
-                for c in obj["components"]
-            ]
-            spec = cls(kind, comps[0][1].size, components=comps)
-        elif kind == "empirical":
-            pts = np.asarray(_json_numbers(obj["points"], "points"), dtype=np.float64)
-            pts = pts.reshape(len(pts), -1)
-            spec = cls(kind, pts.shape[1], points=pts)
-        else:
-            raise ValueError(f"unknown distribution kind: {kind!r}")
-        if obj.get("dim", spec.dim) != spec.dim:
-            raise ValueError(f"dim {obj['dim']!r} is not the data's width {spec.dim}")
-        return spec
-
-
-def _json_numbers(value, name: str):
-    """value if it is a JSON number or lists of them nested to any depth."""
-    if isinstance(value, list):
-        for v in value:
-            _json_numbers(v, name)
-    elif type(value) not in (int, float):
-        raise ValueError(f"{name} must be a number, not {value!r}")
-    return value
-
 
 def interpolate(x0: np.ndarray, x1: np.ndarray, t) -> np.ndarray:
     """Linear path point (1-t)*x0 + t*x1; exact at the endpoints t=0 and t=1."""

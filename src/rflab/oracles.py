@@ -189,7 +189,6 @@ def tv_distance_mixtures(inst: LowerBoundInstance,
 class SeparationReport:
     interval: tuple[float, float]
     pointwise_min: float      # min |v1 - v2| over the interval grid
-    pointwise_max: float
     interval_rms: float       # sqrt of the pi_*-weighted mean of |v1-v2|^2 on I_R
     l2_separation_sq: float   # int |v1 - v2|^2 d pi_{*,1/2} over the whole line
 
@@ -220,7 +219,6 @@ def velocity_separation(inst: LowerBoundInstance, n_grid: int = 2001) -> Separat
     return SeparationReport(
         interval=(lo, hi),
         pointwise_min=float(diff.min()),
-        pointwise_max=float(diff.max()),
         interval_rms=float(math.sqrt(num / den)),
         l2_separation_sq=float(total),
     )
@@ -228,8 +226,6 @@ def velocity_separation(inst: LowerBoundInstance, n_grid: int = 2001) -> Separat
 
 @dataclasses.dataclass(frozen=True)
 class LeCamReport:
-    m: int
-    eta: float
     tv_pair: float            # quadrature TV between the two targets
     tv_budget_m: float        # min(1, m * eta): product-measure TV budget
     separation: SeparationReport  # its l2_separation_sq is ||v1 - v2||^2
@@ -251,7 +247,7 @@ def lecam_budget(inst: LowerBoundInstance, m: int) -> LeCamReport:
     sep = velocity_separation(inst)
     floor = 0.25 * sep.l2_separation_sq * (1.0 - budget)
     scale = inst.epsilon ** 2 * inst.sigma ** 2
-    return LeCamReport(m, inst.eta, tv, budget, sep, floor, floor / scale)
+    return LeCamReport(tv, budget, sep, floor, floor / scale)
 
 
 def lowerbound_grid(inst: LowerBoundInstance, lo: float, hi: float, n: int):

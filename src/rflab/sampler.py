@@ -29,14 +29,6 @@ class FlowTrajectory:
     times: np.ndarray
     states: np.ndarray
 
-    def __post_init__(self):
-        if self.times.ndim != 1 or self.states.ndim != 3:
-            raise ValueError("times must be (S+1,), states (S+1, n, d)")
-        if self.states.shape[0] != self.times.size:
-            raise ValueError("states length must match times")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-
     @property
     def steps(self) -> int:
         return self.times.size - 1
@@ -92,18 +84,17 @@ def straightness(traj: FlowTrajectory) -> float:
 
 def reflow(net: VelocityNet, round_index: int, pi0: DistributionSpec,
            n_synth: int, cfg: TrainConfig, rng: RngStream,
-           integrate_steps: int = 100) -> VelocityNet:
+           integrate_steps: int = 100, seed: int = 0) -> VelocityNet:
     """Round round_index + 1 (of at most 3) for a net that has had round_index
     rounds: fresh pi0 draws -> Euler endpoints under net -> a copy of net,
-    retrained on the coupled pairs, is returned. Draws no target samples."""
+    retrained on the coupled pairs with a shuffle seed derived from seed and
+    the round, is returned. Draws no target samples."""
     if round_index >= MAX_REFLOW_ROUNDS:
         raise ValueError(f"reflow is capped at {MAX_REFLOW_ROUNDS} rounds")
     z0 = pi0.sample(rng.derive(1), n_synth)
     z1, _ = euler_integrate(net, z0, integrate_steps)
     pairs = couple_given(rng.derive(2), z0, z1)
     out = net.copy()
-    cfg_round = dataclasses.replace(
-        cfg, n_samples=n_synth,
-        seed=splitmix64(cfg.seed ^ splitmix64(round_index + 1)))
-    train(out, pairs, cfg_round)
+    train(out, pairs, dataclasses.replace(cfg, n_samples=n_synth),
+          seed=splitmix64(seed ^ splitmix64(round_index + 1)))
     return out

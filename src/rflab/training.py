@@ -35,7 +35,6 @@ class TrainConfig:
     gamma: float = 40.0
     mu_hat: float | None = None        # assumed PL constant; validates c > 1/mu_hat
     kappa_hat: float | None = None     # assumed smoothness; validates gamma >= kappa_hat*c
-    seed: int | tuple[int, ...] = 0    # a tuple of shuffle seeds for a stack of nets
     divergence_factor: float = 1e3
     record_every: int = 1              # cadence of full-data loss records
 
@@ -85,14 +84,15 @@ class TrainTrace:
     final_loss: float
 
 
-def train(net: VelocityNet, data: CoupledBatch, cfg: TrainConfig):
-    """Projected SGD in place; returns the trace. Raises DivergenceError when the
-    full-data loss at a record step exceeds divergence_factor x (initial loss,
-    floored at 1e-12), and FloatingPointError when an update leaves a
-    non-finite parameter.
+def train(net: VelocityNet, data: CoupledBatch, cfg: TrainConfig,
+          seed: int | tuple[int, ...] = 0):
+    """Projected SGD in place, minibatches shuffled from seed; returns the
+    trace. Raises DivergenceError when the full-data loss at a record step
+    exceeds divergence_factor x (initial loss, floored at 1e-12), and
+    FloatingPointError when an update leaves a non-finite parameter.
 
     A stack of K nets trains in lockstep on a stacked batch (K batches of the
-    same n), with cfg.seed a tuple of K shuffle seeds. Each member takes the
+    same n), with seed a tuple of K shuffle seeds. Each member takes the
     same steps, in the same floating-point order, as it would alone. The
     result is a list with, per member, its TrainTrace or the error a training
     run of that member alone would raise; a failed member stays at zero
@@ -104,7 +104,7 @@ def train(net: VelocityNet, data: CoupledBatch, cfg: TrainConfig):
     if cfg.n_samples and cfg.n_samples != n:
         raise ValueError(f"cfg.n_samples = {cfg.n_samples} but data has {n} rows")
     lead = net.theta.shape[:-1]
-    seeds = cfg.seed if lead else (cfg.seed,)
+    seeds = seed if lead else (seed,)
     if data.t.shape[:-1] != lead or not isinstance(seeds, tuple) \
             or len(seeds) != (lead[0] if lead else 1):
         raise ValueError("a stack of K nets needs a stacked batch of K and K seeds")

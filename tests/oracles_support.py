@@ -153,7 +153,7 @@ def sgd_rate_check(problem: QuadraticProblem, cfg: TrainConfig, n_seeds: int = 2
     K = cfg.steps
     deltas = np.zeros(K + 1)
     for s in range(n_seeds):
-        rng = RngStream(cfg.seed, 0).derive(1000 + s)
+        rng = RngStream(0, 0).derive(1000 + s)
         theta = problem.theta0.copy()
         deltas[0] += problem.loss(theta)
         for k in range(K):

@@ -251,7 +251,7 @@ def test_c08_sgd_rate():
     problem = QuadraticProblem(lambdas=np.array([1.0, 2.0]),
                                theta0=np.array([2.0, -1.0]), noise_var=0.5)
     cfg = TrainConfig(n_samples=2, batch_size=2, steps=1000, c=3.0,
-                      gamma=6.0, seed=0)
+                      gamma=6.0)
     rep = sgd_rate_check(problem, cfg, n_seeds=20)
     elapsed = time.perf_counter() - t0
     assert rep.n_seeds == 20
@@ -279,9 +279,9 @@ def test_c09_reflow_straightens_and_does_not_hurt_w2():
         net = VelocityNet.init(arch, root.derive(2))
         cfg = TrainConfig(n_samples=2048, batch_size=64, steps=600,
                           schedule="diminishing", eta=0.05, c=8.0,
-                          gamma=80.0, seed=seed, record_every=600)
+                          gamma=80.0, record_every=600)
         from rflab.training import train
-        train(net, data, cfg)
+        train(net, data, cfg, seed=seed)
 
         z0 = pi0.sample(root.derive(3), 256)
         _, traj0 = euler_integrate(net, z0, 64, record=True)
@@ -291,7 +291,7 @@ def test_c09_reflow_straightens_and_does_not_hurt_w2():
 
         draws_frozen = pi1.draws
         net1 = reflow(net, 0, pi0, 2048, cfg, root.derive(5),
-                      integrate_steps=64)
+                      integrate_steps=64, seed=seed)
         assert pi1.draws == draws_frozen  # reflow consumes no target draws
 
         _, traj1 = euler_integrate(net1, z0, 64, record=True)

@@ -292,7 +292,6 @@ def test_rademacher_zero_radius_is_zero():
                                      n_restarts=1, rng=RngStream(9), l_ell=10.0,
                                      ascent_steps=10)
     assert rep.value == pytest.approx(0.0, abs=1e-6)
-    assert rep.r == 0.0
 
 
 def test_rademacher_monotone_in_r():

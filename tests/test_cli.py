@@ -188,7 +188,7 @@ _CONFIG_PROBES = {
                           "field 'bounds.P' must be an integer, not 4.5"),
     "pi0-dim-mismatch": ({"train": _TRAIN_BLOCK, "pi0": _DIM3_GAUSSIAN,
                           "pi1": _DIM3_GAUSSIAN}, "train",
-                         "field 'pi0'/'pi1': dim 3 is not the data's width 1"),
+                         "field 'pi0.dim' is 3, not the data's width 1"),
     # every block is checked at load, whichever command runs
     "train-with-invalid-bounds": ({"train": _TRAIN_BLOCK,
                                    "bounds": {**_BOUNDS_BLOCK, "P": 0}},
@@ -221,13 +221,35 @@ _CONFIG_PROBES = {
                                   "bounds",
                                   "field 'bounds.sigma' must be a number, not '2'"),
     "pi0-std-text": ({"pi0": {**_GAUSSIAN, "std": "1"}}, "gradcheck",
-                     "field 'pi0'/'pi1': std must be a number, not '1'"),
+                     "field 'pi0.std' must be a number, not '1'"),
     "pi1-mean-true": ({"pi1": {**_GAUSSIAN, "mean": [True]}}, "gradcheck",
-                      "field 'pi0'/'pi1': mean must be a number, not True"),
+                      "field 'pi1.mean' must be a number, not True"),
     "pi1-weight-text": (
         {"pi1": {"kind": "gaussian_mixture", "components": [
             {"weight": "1", "mean": [0.0], "std": 1.0}]}}, "gradcheck",
-        "field 'pi0'/'pi1': weight must be a number, not '1'"),
+        "field 'pi1.components[0].weight' must be a number, not '1'"),
+    # an endpoint's numbers go through the same check as every other block's
+    "pi0-dim-true": ({"train": _TRAIN_BLOCK, "pi0": {**_GAUSSIAN, "dim": True}},
+                     "train", "field 'pi0.dim' must be an integer, not True"),
+    "pi1-dim-text": ({"train": _TRAIN_BLOCK, "pi1": {**_GAUSSIAN, "dim": "1"}},
+                     "train", "field 'pi1.dim' must be an integer, not '1'"),
+    "pi1-points-text": ({"pi1": {"kind": "empirical", "points": [[1.0], ["2"]]}},
+                        "gradcheck", "field 'pi1.points' must be a number, not '2'"),
+    "pi1-component-std-text": (
+        {"pi1": {"kind": "gaussian_mixture", "components": [
+            {"weight": 1.0, "mean": [0.0], "std": "1"}]}}, "gradcheck",
+        "field 'pi1.components[0].std' must be a number, not '1'"),
+    # the shuffle seed is the top-level seed; a train block cannot set it
+    "train-seed": ({"train": {**_TRAIN_BLOCK, "seed": 1}}, "train",
+                   "unknown field 'train.seed'"),
+    # JSON Infinity is a float, but no config number may be infinite
+    "train-c-infinity": ({"train": {**_TRAIN_BLOCK, "c": math.inf}}, "train",
+                         "field 'train.c' must be a number, not inf"),
+    "arch-l1-budget-infinity": ({"train": _TRAIN_BLOCK,
+                                 "arch": {"l1_budget": math.inf}}, "train",
+                                "field 'arch.l1_budget' must be a number, not inf"),
+    "pi0-std-infinity": ({"pi0": {**_GAUSSIAN, "std": math.inf}}, "gradcheck",
+                         "field 'pi0.std' must be a number, not inf"),
 }
 
 
@@ -872,10 +894,10 @@ def test_sweep_cells_honour_the_train_block(tmp_path, monkeypatch):
     seen = []
     real_train = cli.train
 
-    def spy_train(net, data, cfg):
+    def spy_train(net, data, cfg, seed):
         seen.append((cfg.n_samples,
                      (cfg.divergence_factor, cfg.mu_hat, cfg.kappa_hat)))
-        return real_train(net, data, cfg)
+        return real_train(net, data, cfg, seed=seed)
 
     monkeypatch.setattr(cli, "train", spy_train)
     obj = json.loads(json.dumps(_SMALL_SWEEP))
@@ -896,9 +918,9 @@ def test_sweep_config_takes_a_batch_above_the_default_n_samples(tmp_path,
     seen = []
     real_train = cli.train
 
-    def spy_train(net, data, cfg):
+    def spy_train(net, data, cfg, seed):
         seen.append((cfg.n_samples, cfg.batch_size))
-        return real_train(net, data, cfg)
+        return real_train(net, data, cfg, seed=seed)
 
     monkeypatch.setattr(cli, "train", spy_train)
     obj = {"train": {"batch_size": 2048},

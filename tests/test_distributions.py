@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles_support import pair_subgaussian_sigma, tail_mass_outside
+from rflab.cli import ConfigError, load_experiment
 from rflab.distributions import (CoupledBatch, DistributionSpec, couple_given,
                                  draw_coupled, interpolate, truncation_level)
 from rflab.linalg_rng import RngStream
@@ -81,9 +83,9 @@ def test_empirical_sampling_returns_points():
     assert set(np.unique(x)) <= {1.0, 2.0, 3.0}
 
 
-def test_json_roundtrip():
-    # config dicts as a JSON config file spells them, against the spec built
-    # directly
+def test_json_roundtrip(tmp_path):
+    # config blocks as a JSON config file spells them, loaded as the pi0 and
+    # pi1 of an experiment, against the spec built directly
     cases = [
         ({"kind": "gaussian", "mean": [1.0, 2.0], "std": 0.5}, _g([1.0, 2.0], 0.5)),
         ({"kind": "gaussian_mixture",
@@ -95,13 +97,17 @@ def test_json_roundtrip():
         ({"kind": "empirical", "points": [[0.0, 1.0], [2.0, 3.0]]},
          DistributionSpec("empirical", 2, points=np.array([[0.0, 1.0], [2.0, 3.0]]))),
     ]
+    path = tmp_path / "config.json"
     for obj, spec in cases:
-        back = DistributionSpec.from_json(obj)
-        assert back.kind == spec.kind
-        assert back.dim == spec.dim
-        assert (back.sample(RngStream(3), 5) == spec.sample(RngStream(3), 5)).all()
-    with pytest.raises(ValueError, match="unknown distribution kind"):
-        DistributionSpec.from_json({"kind": "uniform"})
+        path.write_text(json.dumps({"pi0": obj, "pi1": obj}), encoding="utf-8")
+        exp = load_experiment(str(path))
+        for back in (exp.pi0, exp.pi1):
+            assert back.kind == spec.kind
+            assert back.dim == spec.dim
+            assert (back.sample(RngStream(3), 5) == spec.sample(RngStream(3), 5)).all()
+    path.write_text(json.dumps({"pi0": {"kind": "uniform"}}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="field 'pi0.kind' must be one of"):
+        load_experiment(str(path))
 
 
 # -- interpolation and coupling ------------------------------------------------------

@@ -16,22 +16,6 @@ def _gauss(mean, std=1.0):
     return DistributionSpec("gaussian", mean.size, mean=mean, std=std)
 
 
-# -- trajectory container -------------------------------------------------------------
-
-
-def test_trajectory_validation():
-    times = np.linspace(0, 1, 4)
-    states = np.zeros((4, 2, 1))
-    traj = FlowTrajectory(times, states)
-    assert traj.steps == 3
-    with pytest.raises(ValueError):
-        FlowTrajectory(times[:3], states)
-    with pytest.raises(ValueError):
-        FlowTrajectory(np.array([0.0, 0.5, 0.5, 1.0]), states)
-    with pytest.raises(ValueError):
-        FlowTrajectory(times, states[:, :, 0])
-
-
 # -- euler integration ----------------------------------------------------------------
 
 
@@ -149,15 +133,15 @@ def _trained_toy_net(seed=0):
 
 
 def _reflow_cfg(n):
-    return TrainConfig(n_samples=n, batch_size=16, steps=40, c=4.0, gamma=40.0,
-                       seed=5)
+    return TrainConfig(n_samples=n, batch_size=16, steps=40, c=4.0, gamma=40.0)
 
 
 def test_reflow_round_bookkeeping():
     pi0 = _gauss([0.0])
     net = _trained_toy_net()
     theta = net.get_theta().copy()
-    out = reflow(net, 0, pi0, 64, _reflow_cfg(64), RngStream(11), integrate_steps=20)
+    out = reflow(net, 0, pi0, 64, _reflow_cfg(64), RngStream(11),
+                 integrate_steps=20, seed=5)
     # the input net is untouched and the retrained net is a distinct object
     assert out is not net
     assert (net.get_theta() == theta).all()
@@ -169,8 +153,10 @@ def test_reflow_never_draws_from_target():
     pi1 = _gauss([2.0])
     net = _trained_toy_net()
     before = pi1.draws
-    net = reflow(net, 0, pi0, 32, _reflow_cfg(32), RngStream(3), integrate_steps=10)
-    net = reflow(net, 1, pi0, 32, _reflow_cfg(32), RngStream(4), integrate_steps=10)
+    net = reflow(net, 0, pi0, 32, _reflow_cfg(32), RngStream(3),
+                 integrate_steps=10, seed=5)
+    net = reflow(net, 1, pi0, 32, _reflow_cfg(32), RngStream(4),
+                 integrate_steps=10, seed=5)
     assert pi1.draws == before
     assert pi0.draws == 64
 
@@ -181,23 +167,23 @@ def test_reflow_round_cap():
     net = _trained_toy_net()
     for k in range(MAX_REFLOW_ROUNDS):
         net = reflow(net, k, pi0, 32, _reflow_cfg(32), RngStream(7),
-                     integrate_steps=10)
+                     integrate_steps=10, seed=5)
     with pytest.raises(ValueError, match="capped"):
         reflow(net, MAX_REFLOW_ROUNDS, pi0, 32, _reflow_cfg(32), RngStream(7),
-               integrate_steps=10)
+               integrate_steps=10, seed=5)
 
 
 def test_reflow_is_deterministic():
     pi0_a = _gauss([0.0])
     pi0_b = _gauss([0.0])
     out_a = reflow(_trained_toy_net(), 0, pi0_a, 48,
-                   _reflow_cfg(48), RngStream(9), integrate_steps=10)
+                   _reflow_cfg(48), RngStream(9), integrate_steps=10, seed=5)
     out_b = reflow(_trained_toy_net(), 0, pi0_b, 48,
-                   _reflow_cfg(48), RngStream(9), integrate_steps=10)
+                   _reflow_cfg(48), RngStream(9), integrate_steps=10, seed=5)
     assert (out_a.get_theta() == out_b.get_theta()).all()
 
 
 def test_reflow_validates_n_synth():
     with pytest.raises(ValueError):
         reflow(_trained_toy_net(), 0, _gauss([0.0]), 0, _reflow_cfg(1),
-               RngStream(0))
+               RngStream(0), seed=5)

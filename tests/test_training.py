@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -69,11 +67,11 @@ def test_step_size_formulas():
 
 def test_train_is_deterministic():
     data = _data(64, seed=5)
-    cfg = TrainConfig(n_samples=64, batch_size=16, steps=40, seed=9)
+    cfg = TrainConfig(n_samples=64, batch_size=16, steps=40)
     net_a = VelocityNet.init(_arch(), RngStream(2))
     net_b = net_a.copy()
-    tr_a = train(net_a, data, cfg)
-    tr_b = train(net_b, data, cfg)
+    tr_a = train(net_a, data, cfg, seed=9)
+    tr_b = train(net_b, data, cfg, seed=9)
     assert (net_a.get_theta() == net_b.get_theta()).all()
     assert (tr_a.loss == tr_b.loss).all()
     assert (tr_a.grad_norm == tr_b.grad_norm).all()
@@ -81,10 +79,10 @@ def test_train_is_deterministic():
 
 def test_train_trace_layout():
     data = _data(32, seed=1)
-    cfg = TrainConfig(n_samples=32, batch_size=8, steps=12, record_every=5, seed=3)
+    cfg = TrainConfig(n_samples=32, batch_size=8, steps=12, record_every=5)
     net = VelocityNet.init(_arch(), RngStream(0))
     loss0_expected = net.loss(data)
-    tr = train(net, data, cfg)
+    tr = train(net, data, cfg, seed=3)
     assert tr.step.tolist() == [0, 5, 10, 11]
     assert tr.initial_loss == pytest.approx(loss0_expected, rel=1e-12)
     assert tr.final_loss == tr.loss[-1]
@@ -100,9 +98,9 @@ def test_train_trace_layout():
 def test_train_keeps_iterates_feasible():
     data = _data(64, seed=2)
     cfg = TrainConfig(n_samples=64, batch_size=8, steps=60, schedule="constant",
-                      eta=0.5, seed=1)
+                      eta=0.5)
     net = VelocityNet.init(_arch(V=1.5), RngStream(4))
-    train(net, data, cfg)
+    train(net, data, cfg, seed=1)
     assert net.max_row_l1() <= 1.5 + 1e-9
 
 
@@ -111,10 +109,10 @@ def test_train_updates_the_parameter_buffer_in_place():
     # projection write through the layer views
     data = _data(64, seed=2)
     cfg = TrainConfig(n_samples=64, batch_size=8, steps=60, schedule="constant",
-                      eta=0.5, seed=1)
+                      eta=0.5)
     net = VelocityNet.init(_arch(V=1.5), RngStream(4))
     theta, before = net.theta, net.get_theta()
-    train(net, data, cfg)
+    train(net, data, cfg, seed=1)
     assert net.theta is theta
     assert all(np.shares_memory(w, net.theta) for w in net.weights)
     assert (np.concatenate([w.ravel() for w in net.weights]) == net.theta).all()
@@ -123,8 +121,8 @@ def test_train_updates_the_parameter_buffer_in_place():
     stack = VelocityNet.stack([VelocityNet.init(_arch(V=1.5), RngStream(4, i))
                                for i in range(3)])
     theta = stack.theta
-    train(stack, CoupledBatch.stack([_data(64, seed=i) for i in range(3)]),
-          dataclasses.replace(cfg, seed=(1, 2, 3)))
+    train(stack, CoupledBatch.stack([_data(64, seed=i) for i in range(3)]), cfg,
+          seed=(1, 2, 3))
     assert stack.theta is theta
     assert all(np.shares_memory(w, stack.theta) for w in stack.weights)
     assert (np.concatenate([w.reshape(3, -1) for w in stack.weights], axis=1)
@@ -157,11 +155,10 @@ def test_lockstep_train_matches_solo_runs(scenario):
         solo = []
         for net, data, seed in zip(nets, datas, seeds):
             try:
-                solo.append(train(net, data, dataclasses.replace(cfg, seed=seed)))
+                solo.append(train(net, data, cfg, seed=seed))
             except (DivergenceError, FloatingPointError) as e:
                 solo.append(e)
-        out = train(stack, CoupledBatch.stack(datas),
-                    dataclasses.replace(cfg, seed=seeds))
+        out = train(stack, CoupledBatch.stack(datas), cfg, seed=seeds)
     failed = {"diverges": DivergenceError, "overflow": FloatingPointError}
     assert len(out) == 4
     for i in range(4):
@@ -188,7 +185,7 @@ def test_train_rejects_a_mismatched_stack():
                             (stack, _data(32), (1, 2)),
                             (VelocityNet.init(_arch(), RngStream(0)), stacked, 1)]:
         with pytest.raises(ValueError):
-            train(net, data, dataclasses.replace(cfg, seed=seed))
+            train(net, data, cfg, seed=seed)
 
 
 def test_train_rejects_sample_count_mismatch():
@@ -204,20 +201,20 @@ def test_train_fits_point_mass_coupling():
     # converge; per-sample gradients vanish together at the optimum.
     data = _point_mass_data(64, seed=7)
     cfg = TrainConfig(n_samples=64, batch_size=16, steps=2000,
-                      schedule="constant", eta=0.5, seed=7)
+                      schedule="constant", eta=0.5)
     net = VelocityNet.init(_arch(), RngStream(7))
-    tr = train(net, data, cfg)
+    tr = train(net, data, cfg, seed=7)
     assert tr.final_loss < 1e-4
     assert tr.final_loss < tr.initial_loss
 
 
 def test_divergence_error():
     data = _data(32, seed=3)
-    cfg = TrainConfig(n_samples=32, batch_size=8, steps=50, seed=3,
+    cfg = TrainConfig(n_samples=32, batch_size=8, steps=50,
                       divergence_factor=1e-6)
     net = VelocityNet.init(_arch(), RngStream(3))
     with pytest.raises(DivergenceError, match="exceeded"):
-        train(net, data, cfg)
+        train(net, data, cfg, seed=3)
 
 
 # -- quadratic testbed ----------------------------------------------------------------
@@ -278,8 +275,7 @@ def test_closed_envelope_validation():
 
 def test_sgd_rate_check_smoke():
     q = _quad(0.5)
-    cfg = TrainConfig(n_samples=2, batch_size=2, steps=1000, c=3.0, gamma=6.0,
-                      seed=0)
+    cfg = TrainConfig(n_samples=2, batch_size=2, steps=1000, c=3.0, gamma=6.0)
     rep = sgd_rate_check(q, cfg, n_seeds=10)
     assert rep.n_seeds == 10
     assert -1.3 < rep.slope < -0.7
