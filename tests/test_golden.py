@@ -31,9 +31,9 @@ import scipy
 
 from rflab.cli import EXIT_OK, main
 
-_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-_MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                         "golden", "manifest.json")
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_ROOT = os.path.join(_HERE, os.pardir)
+_MANIFEST = os.path.join(_HERE, "golden", "manifest.json")
 
 _SWEEP = {"grid": [32, 64, 128, 256, 1024], "trials": 2, "epochs": 3,
           "proxy_n": 512, "proxy_epochs": 3, "proxy_batch": 128,
