@@ -67,8 +67,11 @@ def _number(kind, value, field: str):
 
 
 def _floats(value, field: str) -> np.ndarray:
-    """A JSON number, or lists of them nested to any depth, as float64."""
+    """A JSON number, or lists of them nested to any depth in a rectangular
+    array, as float64."""
     for v in np.asarray(value, dtype=object).flat:
+        if isinstance(v, list):   # numpy keeps ragged rows as list leaves
+            raise ConfigError(f"field '{field}' must be a rectangular array")
         _number(float, v, field)
     return np.asarray(value, dtype=np.float64)
 
@@ -207,8 +210,10 @@ def _endpoint(obj: dict, name: str, default: dict) -> DistributionSpec:
             spec = DistributionSpec(kind, mean.size, mean=mean, std=_number(
                 float, blk.get("std"), f"{name}.std"))
         elif kind == "gaussian_mixture":
-            comps = []
-            for i, c in enumerate(blk.get("components") or ()):
+            comps, raw = [], blk.get("components", [])
+            if not isinstance(raw, list):
+                raise ConfigError(f"field '{name}.components' must be a list")
+            for i, c in enumerate(raw):
                 field = f"{name}.components[{i}]"
                 c = _block({field: c}, field, ("weight", "mean", "std"))
                 comps.append((_number(float, c.get("weight"), f"{field}.weight"),

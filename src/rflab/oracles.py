@@ -5,7 +5,8 @@ is an exact joint-Gaussian regression, which scores a sweep cell's velocity
 error; no other endpoint pair has a closed form here. The hardness side
 builds the contaminated-target pair, its t=1/2 posterior velocities (in
 log-density space, so the R/sigma >= 8 regime does not underflow), total
-variation by adaptive quadrature, and the m-sample testing budget.
+variation and separation integrals by an adaptive Gauss-Legendre rule in
+numpy alone, and the m-sample testing budget.
 """
 
 from __future__ import annotations
@@ -161,25 +162,71 @@ def mixture_posterior_velocity(inst: LowerBoundInstance, hypothesis: int, x):
                   - conditional_x0_mean(inst, hypothesis, x))
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_QUAD_ROUNDS = 30      # a panel is halved at most this often,
+_QUAD_PANELS = 4096    # and at most this many panels are open at once
+_ROUNDOFF = 50.0 * np.finfo(np.float64).eps
+
+
+def _gauss(f, a, b):
+    """20-point Gauss-Legendre sums of f and of |f| over the panels [a, b]
+    (arrays), from one call of the vectorized integrand."""
+    half = 0.5 * (b - a)
+    x = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+    fx = np.asarray(f(x.ravel()), dtype=np.float64).reshape(x.shape)
+    if not np.isfinite(fx).all():
+        raise FloatingPointError("quadrature integrand is not finite")
+    return half * (fx @ _GL_WEIGHTS), half * (np.abs(fx) @ _GL_WEIGHTS)
+
+
+def _quad(f, lo: float, hi: float, points=(), *, tol: float) -> float:
+    """int_lo^hi f to absolute error tol, by adaptive composite Gauss-Legendre.
+
+    The breakpoints inside (lo, hi) cut the first panels. Each round evaluates
+    both halves of every open panel in one call of f. A panel closes when its
+    halves agree with its whole-panel sum within its width's share of tol, or
+    within the roundoff of that sum (QUADPACK's 50 eps floor); otherwise its
+    halves become panels. An integrand that is not finite, or that has not
+    converged after _QUAD_ROUNDS halvings or with more than _QUAD_PANELS
+    panels open, raises FloatingPointError.
+    """
+    edges = np.unique([lo, hi, *(p for p in points if lo < p < hi)])
+    a, b = edges[:-1], edges[1:]
+    whole, _ = _gauss(f, a, b)
+    closed = []
+    for _ in range(_QUAD_ROUNDS):
+        m = 0.5 * (a + b)
+        sums, mags = _gauss(f, np.concatenate([a, m]), np.concatenate([m, b]))
+        left, right = np.split(sums, 2)
+        fine = left + right
+        share = np.maximum(tol * (b - a) / (hi - lo),
+                           _ROUNDOFF * np.add(*np.split(mags, 2)))
+        done = np.abs(fine - whole) <= share
+        closed.append(fine[done])
+        keep = ~done
+        a, b = np.concatenate([a[keep], m[keep]]), np.concatenate([m[keep], b[keep]])
+        whole = np.concatenate([left[keep], right[keep]])
+        if a.size == 0:
+            return math.fsum(np.concatenate(closed))
+        if a.size > _QUAD_PANELS:
+            break
+    raise FloatingPointError(f"quadrature did not converge on [{lo}, {hi}] "
+                             f"to {tol:.0e} ({a.size} panels still open)")
+
+
 def tv_distance_mixtures(inst: LowerBoundInstance,
                          abs_tol: float = 1e-8) -> float:
-    """TV(pi_1^(1), pi_1^(2)) = 1/2 int |p1 - p2|, by adaptive quadrature.
+    """TV(pi_1^(1), pi_1^(2)) = 1/2 int |p1 - p2|, by _quad over +-(R + 12 sigma)
+    with breakpoints at the component means and their midpoints.
 
     The result must not exceed eta (the backgrounds cancel exactly); violation
-    beyond quadrature tolerance is raised as an error.
+    beyond quadrature tolerance is raised as an error, as is a quadrature that
+    does not converge.
     """
-    # scipy is imported on first use, so that only lowerbound pays for it
-    from scipy import integrate
-
-    lo = -inst.R - 12.0 * inst.sigma
-    hi = inst.R + 12.0 * inst.sigma
-    val, err = integrate.quad(
-        lambda x: abs(target_pdf(inst, 1, x) - target_pdf(inst, 2, x)),
-        lo, hi, epsabs=abs_tol, limit=400,
-        points=[-inst.R, -inst.R / 2, 0.0, inst.R / 2, inst.R])
-    if err > 10.0 * abs_tol + 1e-12:
-        raise FloatingPointError(f"TV quadrature did not converge (err = {err:.2e})")
-    tv = 0.5 * val
+    tv = 0.5 * _quad(
+        lambda x: np.abs(target_pdf(inst, 1, x) - target_pdf(inst, 2, x)),
+        -inst.R - 12.0 * inst.sigma, inst.R + 12.0 * inst.sigma,
+        points=(-inst.R, -inst.R / 2, 0.0, inst.R / 2, inst.R), tol=abs_tol)
     if tv > inst.eta + 1e-8:
         raise FloatingPointError(f"computed TV {tv:.3e} exceeds eta {inst.eta:.3e}")
     return tv
@@ -195,27 +242,21 @@ class SeparationReport:
 
 def velocity_separation(inst: LowerBoundInstance, n_grid: int = 2001) -> SeparationReport:
     """Pointwise and pi_*-weighted separation of the two posterior velocities."""
-    from scipy import integrate
-
     lo, hi = inst.interval
     grid = np.linspace(lo, hi, n_grid)
     diff = np.abs(mixture_posterior_velocity(inst, 1, grid)
                   - mixture_posterior_velocity(inst, 2, grid))
 
-    def sq_diff(x):
+    def weighted_sq_diff(x):
         d = (mixture_posterior_velocity(inst, 1, x)
              - mixture_posterior_velocity(inst, 2, x))
-        return d * d
+        return d * d * pi_star_pdf(inst, x)
 
-    num, _ = integrate.quad(lambda x: sq_diff(x) * pi_star_pdf(inst, x),
-                            lo, hi, epsabs=1e-10, limit=400)
-    den, _ = integrate.quad(lambda x: pi_star_pdf(inst, x),
-                            lo, hi, epsabs=1e-12, limit=400)
-    wide_lo = -inst.R - 12.0 * inst.sigma
-    wide_hi = inst.R + 12.0 * inst.sigma
-    total, _ = integrate.quad(lambda x: sq_diff(x) * pi_star_pdf(inst, x),
-                              wide_lo, wide_hi, epsabs=1e-12, limit=800,
-                              points=[-inst.R / 2, 0.0, inst.R / 2])
+    num = _quad(weighted_sq_diff, lo, hi, tol=1e-10)
+    den = _quad(lambda x: pi_star_pdf(inst, x), lo, hi, tol=1e-12)
+    total = _quad(weighted_sq_diff, -inst.R - 12.0 * inst.sigma,
+                  inst.R + 12.0 * inst.sigma,
+                  points=(-inst.R / 2, 0.0, inst.R / 2), tol=1e-12)
     return SeparationReport(
         interval=(lo, hi),
         pointwise_min=float(diff.min()),

@@ -235,6 +235,12 @@ _CONFIG_PROBES = {
                      "train", "field 'pi1.dim' must be an integer, not '1'"),
     "pi1-points-text": ({"pi1": {"kind": "empirical", "points": [[1.0], ["2"]]}},
                         "gradcheck", "field 'pi1.points' must be a number, not '2'"),
+    "pi1-points-ragged": ({"pi1": {"kind": "empirical",
+                                   "points": [[1.0], [2.0, 3.0]]}}, "gradcheck",
+                          "field 'pi1.points' must be a rectangular array"),
+    "pi1-components-int": ({"pi1": {"kind": "gaussian_mixture",
+                                    "components": 3}}, "gradcheck",
+                           "field 'pi1.components' must be a list"),
     "pi1-component-std-text": (
         {"pi1": {"kind": "gaussian_mixture", "components": [
             {"weight": 1.0, "mean": [0.0], "std": "1"}]}}, "gradcheck",

@@ -1,9 +1,9 @@
-"""Heavy modules are imported on first use. scipy: only `lowerbound`
-(quadrature) and a sweep in d >= 2 (the exact assignment W2) load it.
-multiprocessing: only a sweep at --jobs > 1 (its worker pool) loads it. Each
-case runs commands in-process through main() in a fresh interpreter and
-reports which of these modules that interpreter holds afterwards; module
-presence is checked, never wall time.
+"""Heavy modules are imported on first use. scipy: only a sweep in d >= 2
+(the exact assignment W2) loads it; `lowerbound` integrates in numpy alone
+and loads no scipy module. multiprocessing: only a sweep at --jobs > 1 (its
+worker pool) loads it. Each case runs commands in-process through main() in a
+fresh interpreter and reports which of these modules that interpreter holds
+afterwards; module presence is checked, never wall time.
 """
 
 import json
@@ -43,7 +43,7 @@ _CASES = {
     "gradcheck": ({}, [["gradcheck"]], None),
     "sweep-1d": ({"sweep": _SWEEP}, [["sweep"]], None),
     "lowerbound": ({"lowerbound": {"R": 10.0, "epsilon": 0.1}},
-                   [["lowerbound"]], "scipy.integrate"),
+                   [["lowerbound"]], None),
     "sweep-2d": ({"task": "gaussian_2d", "sweep": _SWEEP}, [["sweep"]],
                  "scipy.optimize"),
 }

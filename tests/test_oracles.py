@@ -6,9 +6,10 @@ import pytest
 from scipy import integrate
 
 from oracles_support import conditional_mean_mc
+from rflab import oracles
 from rflab.distributions import DistributionSpec
 from rflab.linalg_rng import RngStream
-from rflab.oracles import (LowerBoundInstance, conditional_x0_mean,
+from rflab.oracles import (LowerBoundInstance, _quad, conditional_x0_mean,
                            gaussian_closed_form, lecam_budget, lowerbound_grid,
                            midpoint_pdf, mixture_posterior_velocity,
                            pi_star_pdf, posterior_weights, target_pdf,
@@ -261,6 +262,81 @@ def test_tv_tiny_epsilon():
     tv = tv_distance_mixtures(inst)
     assert tv <= inst.eta + 1e-8
     assert tv == pytest.approx(inst.eta, rel=1e-3, abs=1e-12)
+
+
+def _weighted_sq_diff(inst):
+    def f(x):
+        d = (mixture_posterior_velocity(inst, 1, x)
+             - mixture_posterior_velocity(inst, 2, x))
+        return d * d * pi_star_pdf(inst, x)
+    return f
+
+
+def _quadpack(inst):
+    """The TV and the three separation integrals by scipy's QUADPACK, with the
+    oracles' intervals, breakpoints and absolute tolerances."""
+    R, wide = inst.R, (-inst.R - 12.0 * inst.sigma, inst.R + 12.0 * inst.sigma)
+    lo, hi = inst.interval
+    sq = _weighted_sq_diff(inst)
+    tv, _ = integrate.quad(
+        lambda x: abs(target_pdf(inst, 1, x) - target_pdf(inst, 2, x)), *wide,
+        epsabs=1e-8, limit=400, points=[-R, -R / 2, 0.0, R / 2, R])
+    num, _ = integrate.quad(sq, lo, hi, epsabs=1e-10, limit=400)
+    den, _ = integrate.quad(lambda x: pi_star_pdf(inst, x), lo, hi,
+                            epsabs=1e-12, limit=400)
+    total, _ = integrate.quad(sq, *wide, epsabs=1e-12, limit=800,
+                              points=[-R / 2, 0.0, R / 2])
+    return 0.5 * tv, num, den, total
+
+
+# R >= 8 sigma is the construction's validity range
+@pytest.mark.parametrize("R,eps,sigma", [
+    (R, eps, sigma) for R in (8.0, 10.0, 12.0, 16.0, 40.0)
+    for eps in (0.3, 0.1, 0.05) for sigma in (1.0, 2.0) if R >= 8.0 * sigma])
+def test_quadrature_matches_quadpack(R, eps, sigma):
+    inst = _inst(R=R, eps=eps, sigma=sigma)
+    tv_ref, num_ref, den_ref, total_ref = _quadpack(inst)
+    lo, hi = inst.interval
+    tv, rep = tv_distance_mixtures(inst), velocity_separation(inst)
+    assert tv == pytest.approx(tv_ref, rel=1e-9)
+    assert _quad(_weighted_sq_diff(inst), lo, hi, tol=1e-10) \
+        == pytest.approx(num_ref, rel=1e-9)
+    assert _quad(lambda x: pi_star_pdf(inst, x), lo, hi, tol=1e-12) \
+        == pytest.approx(den_ref, rel=1e-9)
+    assert rep.interval_rms == pytest.approx(math.sqrt(num_ref / den_ref),
+                                             rel=1e-9)
+    assert rep.l2_separation_sq == pytest.approx(total_ref, rel=1e-9)
+    # deterministic: a second call returns the same floats
+    assert tv_distance_mixtures(inst) == tv
+    assert velocity_separation(inst) == rep
+
+
+def test_quadrature_raises_on_nan_and_on_a_jump_off_the_breakpoints():
+    with pytest.raises(FloatingPointError, match="not finite"):
+        _quad(lambda x: np.where(x > 0.3, np.nan, 1.0), 0.0, 1.0, tol=1e-10)
+    with pytest.raises(FloatingPointError, match="did not converge"):
+        _quad(lambda x: np.where(x > 0.3, 1.0, 0.0), 0.0, 1.0, points=(0.5,),
+              tol=1e-10)
+    # the same jump on a breakpoint is a smooth panel edge
+    assert _quad(lambda x: np.where(x > 0.3, 1.0, 0.0), 0.0, 1.0,
+                 points=(0.3,), tol=1e-10) == pytest.approx(0.7, abs=1e-10)
+    assert _quad(np.sin, 0.0, math.pi, tol=1e-12) == pytest.approx(2.0,
+                                                                  abs=1e-12)
+
+
+def test_tv_guards(monkeypatch):
+    inst = _inst()
+    real = oracles.target_pdf
+    # a density jump away from every breakpoint never converges
+    monkeypatch.setattr(oracles, "target_pdf", lambda i, h, x: real(i, h, x)
+                        + (h == 1) * 1e-3 * (np.asarray(x) > 1.7))
+    with pytest.raises(FloatingPointError, match="did not converge"):
+        tv_distance_mixtures(inst)
+    # mass beyond the contamination cannot come from this construction
+    monkeypatch.setattr(oracles, "target_pdf", lambda i, h, x: real(i, h, x)
+                        * (1.0 + 0.5 * (h == 1)))
+    with pytest.raises(FloatingPointError, match="exceeds eta"):
+        tv_distance_mixtures(inst)
 
 
 def test_separation_frozen_values():
