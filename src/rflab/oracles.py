@@ -162,41 +162,44 @@ def mixture_posterior_velocity(inst: LowerBoundInstance, hypothesis: int, x):
                   - conditional_x0_mean(inst, hypothesis, x))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _QUAD_ROUNDS = 30      # a panel is halved at most this often,
 _QUAD_PANELS = 4096    # and at most this many panels are open at once
 _ROUNDOFF = 50.0 * np.finfo(np.float64).eps
 
 
-def _gauss(f, a, b):
-    """20-point Gauss-Legendre sums of f and of |f| over the panels [a, b]
-    (arrays), from one call of the vectorized integrand."""
+def _gauss(f, a, b, rule):
+    """Gauss-Legendre sums of f and of |f| over the panels [a, b] (arrays),
+    from one call of the vectorized integrand; rule is (nodes, weights)."""
+    nodes, weights = rule
     half = 0.5 * (b - a)
-    x = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+    x = (0.5 * (a + b))[:, None] + half[:, None] * nodes
     fx = np.asarray(f(x.ravel()), dtype=np.float64).reshape(x.shape)
     if not np.isfinite(fx).all():
         raise FloatingPointError("quadrature integrand is not finite")
-    return half * (fx @ _GL_WEIGHTS), half * (np.abs(fx) @ _GL_WEIGHTS)
+    return half * (fx @ weights), half * (np.abs(fx) @ weights)
 
 
 def _quad(f, lo: float, hi: float, points=(), *, tol: float) -> float:
     """int_lo^hi f to absolute error tol, by adaptive composite Gauss-Legendre.
 
     The breakpoints inside (lo, hi) cut the first panels. Each round evaluates
-    both halves of every open panel in one call of f. A panel closes when its
-    halves agree with its whole-panel sum within its width's share of tol, or
-    within the roundoff of that sum (QUADPACK's 50 eps floor); otherwise its
-    halves become panels. An integrand that is not finite, or that has not
+    the 20-point rule on both halves of every open panel in one call of f. A
+    panel closes when its halves agree with its whole-panel sum within its
+    width's share of tol, or within the roundoff of that sum (QUADPACK's
+    50 eps floor); otherwise its halves become panels. An integrand that is not finite, or that has not
     converged after _QUAD_ROUNDS halvings or with more than _QUAD_PANELS
     panels open, raises FloatingPointError.
     """
+    # numpy.polynomial is imported on first use, so that only lowerbound pays
+    rule = np.polynomial.legendre.leggauss(20)
     edges = np.unique([lo, hi, *(p for p in points if lo < p < hi)])
     a, b = edges[:-1], edges[1:]
-    whole, _ = _gauss(f, a, b)
+    whole, _ = _gauss(f, a, b, rule)
     closed = []
     for _ in range(_QUAD_ROUNDS):
         m = 0.5 * (a + b)
-        sums, mags = _gauss(f, np.concatenate([a, m]), np.concatenate([m, b]))
+        sums, mags = _gauss(f, np.concatenate([a, m]), np.concatenate([m, b]),
+                            rule)
         left, right = np.split(sums, 2)
         fine = left + right
         share = np.maximum(tol * (b - a) / (hi - lo),

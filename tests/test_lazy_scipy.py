@@ -1,9 +1,11 @@
 """Heavy modules are imported on first use. scipy: only a sweep in d >= 2
 (the exact assignment W2) loads it; `lowerbound` integrates in numpy alone
-and loads no scipy module. multiprocessing: only a sweep at --jobs > 1 (its
-worker pool) loads it. Each case runs commands in-process through main() in a
-fresh interpreter and reports which of these modules that interpreter holds
-afterwards; module presence is checked, never wall time.
+and loads no scipy module. numpy.polynomial (the Gauss-Legendre rule): of
+the runs without scipy, only `lowerbound` loads it. multiprocessing: only a
+sweep at --jobs > 1 (its worker pool) loads it. Each case runs commands
+in-process through main() in a fresh interpreter and reports which of these
+modules that interpreter holds afterwards; module presence is checked, never
+wall time.
 """
 
 import json
@@ -21,7 +23,7 @@ from rflab.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"codes": codes, **{top: sorted(
     m for m in sys.modules if m == top or m.startswith(top + "."))
-    for top in ("scipy", "multiprocessing")}}))
+    for top in ("scipy", "numpy.polynomial", "multiprocessing")}}))
 """
 
 _TRAIN = {"train": {"n_samples": 64, "batch_size": 32, "steps": 4}}
@@ -72,6 +74,8 @@ def test_scipy_loads_only_where_it_is_called(tmp_path, config, commands,
     assert report["codes"] == [0] * len(commands)
     if needs is None:
         assert report["scipy"] == []
+        # scipy loads numpy.polynomial itself, so only scipy-free runs tell
+        assert bool(report["numpy.polynomial"]) == (commands == [["lowerbound"]])
     else:
         assert needs in report["scipy"]
 
