@@ -186,9 +186,9 @@ def _quad(f, lo: float, hi: float, points=(), *, tol: float) -> float:
     the 20-point rule on both halves of every open panel in one call of f. A
     panel closes when its halves agree with its whole-panel sum within its
     width's share of tol, or within the roundoff of that sum (QUADPACK's
-    50 eps floor); otherwise its halves become panels. An integrand that is not finite, or that has not
-    converged after _QUAD_ROUNDS halvings or with more than _QUAD_PANELS
-    panels open, raises FloatingPointError.
+    50 eps floor); otherwise its halves become panels. An integrand that is
+    not finite, or that has not converged after _QUAD_ROUNDS halvings or with
+    more than _QUAD_PANELS panels open, raises FloatingPointError.
     """
     # numpy.polynomial is imported on first use, so that only lowerbound pays
     rule = np.polynomial.legendre.leggauss(20)
@@ -207,7 +207,8 @@ def _quad(f, lo: float, hi: float, points=(), *, tol: float) -> float:
         done = np.abs(fine - whole) <= share
         closed.append(fine[done])
         keep = ~done
-        a, b = np.concatenate([a[keep], m[keep]]), np.concatenate([m[keep], b[keep]])
+        a, b = (np.concatenate([a[keep], m[keep]]),
+                np.concatenate([m[keep], b[keep]]))
         whole = np.concatenate([left[keep], right[keep]])
         if a.size == 0:
             return math.fsum(np.concatenate(closed))
@@ -219,8 +220,9 @@ def _quad(f, lo: float, hi: float, points=(), *, tol: float) -> float:
 
 def tv_distance_mixtures(inst: LowerBoundInstance,
                          abs_tol: float = 1e-8) -> float:
-    """TV(pi_1^(1), pi_1^(2)) = 1/2 int |p1 - p2|, by _quad over +-(R + 12 sigma)
-    with breakpoints at the component means and their midpoints.
+    """TV(pi_1^(1), pi_1^(2)) = 1/2 int |p1 - p2|, by _quad over
+    +-(R + 12 sigma) with breakpoints at the component means and their
+    midpoints.
 
     The result must not exceed eta (the backgrounds cancel exactly); violation
     beyond quadrature tolerance is raised as an error, as is a quadrature that
