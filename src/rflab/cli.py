@@ -153,6 +153,8 @@ class SweepSpec:
             raise ValueError("grid needs >= 5 values")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly ascending")
+        if self.grid[0] < 1:
+            raise ValueError("grid values must be >= 1")
         if math.log10(self.grid[-1] / self.grid[0]) < 1.5:
             raise ValueError("grid must span >= 1.5 decades")
         for name in ("trials", "epochs", "proxy_n", "proxy_epochs",
@@ -166,12 +168,6 @@ class SweepSpec:
             raise ValueError("steps_exponent must be in [1, 2]")
 
 
-def _sweep_steps(epochs: int, n: int, batch: int, exponent: float) -> int:
-    # superlinear step growth keeps the optimization error decaying at least
-    # as fast as the 1/n statistical term across the grid
-    return max(1, int(round(epochs * (n / batch) ** exponent)))
-
-
 @dataclasses.dataclass
 class Experiment:
     task: str
@@ -181,6 +177,7 @@ class Experiment:
     pi1: DistributionSpec
     arch: NetArchitecture
     train: TrainConfig
+    n_samples: int
     sweep: SweepSpec | None
     bounds: BoundInputs | None
     sigma: float | None
@@ -190,8 +187,7 @@ class Experiment:
 
 
 # the train block's defaults where they differ from TrainConfig's
-_DEFAULT_TRAIN = {"n_samples": 1024, "batch_size": 64, "steps": 480,
-                  "record_every": 10}
+_DEFAULT_TRAIN = {"batch_size": 64, "steps": 480, "record_every": 10}
 
 _TOP_FIELDS = ("task", "seed", "out_dir", "pi0", "pi1", "arch", "train",
                "sweep", "bounds", "lowerbound")
@@ -280,15 +276,12 @@ def load_experiment(config_path: str | None, seed_override: int | None = None,
                   {"hidden": (8,), "dim": pi0.dim})
     if arch.dim != pi0.dim:
         raise ConfigError("field 'arch.dim' must match the endpoint dimension")
-    # a sweep sets n_samples per cell, so its train block is checked with
-    # n_samples unset (0); the default applies where the batch fits in it
-    per_cell = "sweep" in obj
-    train = _typed(TrainConfig, obj, "train",
-                   {**_DEFAULT_TRAIN, "n_samples": 0} if per_cell else _DEFAULT_TRAIN)
-    default_n = _DEFAULT_TRAIN["n_samples"]
-    if per_cell and "n_samples" not in obj["train"] \
-            and train.batch_size <= default_n:
-        train = dataclasses.replace(train, n_samples=default_n)
+    train = _typed(TrainConfig, obj, "train", _DEFAULT_TRAIN,
+                   extra=("n_samples",))
+    n_samples = _number(int, obj["train"].get("n_samples", 1024),
+                        "train.n_samples")
+    if n_samples < 1:
+        raise ConfigError("field 'train.n_samples' must be >= 1")
 
     sweep = _typed(SweepSpec, obj, "sweep")
     # in d >= 2 each cell's W2 goes through the capped assignment route, so
@@ -310,8 +303,8 @@ def load_experiment(config_path: str | None, seed_override: int | None = None,
 
     return Experiment(
         task=task, seed=seed, out_dir=out_dir, pi0=pi0, pi1=pi1, arch=arch,
-        train=train, sweep=sweep, bounds=bounds, sigma=sigma,
-        lowerbound=lowerbound, lowerbound_m=m,
+        train=train, n_samples=n_samples, sweep=sweep, bounds=bounds,
+        sigma=sigma, lowerbound=lowerbound, lowerbound_m=m,
         sha=hashlib.sha256(raw_bytes).hexdigest())
 
 
@@ -389,18 +382,18 @@ def _ensure_out(exp: Experiment) -> str:
 
 
 def _check_n_samples(exp: Experiment) -> None:
-    """train and reflow draw one data set of train.n_samples rows, which a
-    sweep config leaves unset when its batch exceeds the default."""
-    if exp.train.n_samples < 1:
-        raise ConfigError("field 'train.n_samples' must be >= 1 "
-                          "(and at least train.batch_size)")
+    """train and reflow draw one data set of train.n_samples rows, which must
+    hold a minibatch; no other command reads either value."""
+    if exp.n_samples < exp.train.batch_size:
+        raise ConfigError(f"field 'train.n_samples' ({exp.n_samples}) must be "
+                          f">= train.batch_size ({exp.train.batch_size})")
 
 
 def cmd_train(exp: Experiment, args) -> int:
     _check_n_samples(exp)
     out = _ensure_out(exp)
     root = RngStream(exp.seed)
-    data = draw_coupled(root.derive(1), exp.pi0, exp.pi1, exp.train.n_samples)
+    data = draw_coupled(root.derive(1), exp.pi0, exp.pi1, exp.n_samples)
     net = VelocityNet.init(exp.arch, root.derive(2))
     trace = train(net, data, exp.train, seed=exp.seed)
     save_checkpoint(net, os.path.join(out, "checkpoint.bin"), seed=exp.seed,
@@ -411,12 +404,12 @@ def cmd_train(exp: Experiment, args) -> int:
               [trace.step, trace.loss, trace.grad_norm, trace.eta,
                trace.max_row_l1])
     write_json(os.path.join(out, "train_summary.json"), exp, {
-        "task": exp.task, "seed": exp.seed, "n_samples": exp.train.n_samples,
+        "task": exp.task, "seed": exp.seed, "n_samples": exp.n_samples,
         "steps": exp.train.steps, "initial_loss": trace.initial_loss,
         "final_loss": trace.final_loss,
         "param_count": exp.arch.param_count})
     print(f"train: final loss {trace.final_loss:.6g} "
-          f"({exp.train.steps} steps, n={exp.train.n_samples})")
+          f"({exp.train.steps} steps, n={exp.n_samples})")
     return EXIT_OK
 
 
@@ -455,7 +448,7 @@ def cmd_sample(exp: Experiment, args) -> int:
     if args.reflow > 0:
         for r in range(args.reflow + 1):
             if r:
-                net = reflow(net, r - 1, exp.pi0, exp.train.n_samples, exp.train,
+                net = reflow(net, r - 1, exp.pi0, exp.n_samples, exp.train,
                              root.derive(4), integrate_steps=args.steps,
                              seed=exp.seed)
             _, traj = euler_integrate(
@@ -494,6 +487,18 @@ def cmd_sample(exp: Experiment, args) -> int:
 
 # -- sweep -----------------------------------------------------------------------
 
+def _sweep_cfg(exp: Experiment, n: int, epochs: int, batch: int) -> TrainConfig:
+    """The train block for one sweep net on n rows: minibatches of
+    min(batch, n), epochs x (n / batch)^steps_exponent steps, and one loss
+    record, at the last step."""
+    batch = min(batch, n)
+    # superlinear step growth keeps the optimization error decaying at least
+    # as fast as the 1/n statistical term across the grid
+    steps = round(epochs * (n / batch) ** exp.sweep.steps_exponent)
+    return dataclasses.replace(exp.train, batch_size=batch, steps=steps,
+                               record_every=steps)
+
+
 def _cell_seed(seed: int, n: int, trial: int) -> int:
     return splitmix64(seed ^ splitmix64(n * 4096 + trial))
 
@@ -514,10 +519,7 @@ def _run_group(exp: Experiment, proxy: VelocityNet, holdout: CoupledBatch,
                                for s in streams])
     net = VelocityNet.stack([VelocityNet.init(exp.arch, s.derive(2))
                              for s in streams])
-    batch = min(exp.train.batch_size, n)
-    steps = _sweep_steps(sw.epochs, n, batch, sw.steps_exponent)
-    cfg = dataclasses.replace(exp.train, n_samples=n, batch_size=batch,
-                              steps=steps, record_every=max(1, steps))
+    cfg = _sweep_cfg(exp, n, sw.epochs, exp.train.batch_size)
     outcomes = train(net, data, cfg, seed=seeds)
     train_ms = 1000.0 * (time.perf_counter() - t0) / sw.trials
 
@@ -560,11 +562,7 @@ def _train_proxy(exp: Experiment) -> VelocityNet:
     root = RngStream(exp.seed).derive(7)
     data = draw_coupled(root.derive(1), exp.pi0, exp.pi1, sw.proxy_n)
     net = VelocityNet.init(exp.arch, root.derive(2))
-    batch = min(sw.proxy_batch, sw.proxy_n)
-    steps = _sweep_steps(sw.proxy_epochs, sw.proxy_n, batch, sw.steps_exponent)
-    cfg = dataclasses.replace(exp.train, n_samples=sw.proxy_n,
-                              batch_size=batch, steps=steps,
-                              record_every=max(1, steps))
+    cfg = _sweep_cfg(exp, sw.proxy_n, sw.proxy_epochs, sw.proxy_batch)
     train(net, data, cfg, seed=splitmix64(exp.seed ^ 0x70))
     return net
 

@@ -26,8 +26,8 @@ from .linalg_rng import RngStream, as_field_input, l1_project_row
 # A forward pass that keeps no activations runs in blocks whose widest buffer,
 # rows x members x widest layer x 8 bytes, stays within FORWARD_BLOCK_BYTES:
 # under the 1 MiB mmap threshold set in rflab/__init__.py, so block buffers
-# are reused from the heap. A stack is split along its members first; only a
-# member whose own pass is too large is split along its rows, in blocks of a
+# are reused from the heap. A stack runs one member at a time, and a member
+# whose own pass is too large is split along its rows, in blocks of a
 # multiple of FORWARD_BLOCK_ROWS rows. BLAS computes a small-M product with
 # other kernels, so a block never has fewer than FORWARD_BLOCK_ROWS rows: a
 # shorter tail joins the block before it, and the block size does not depend
@@ -259,11 +259,6 @@ class VelocityNet:
 
     def _blocks(self, members: int, n: int):
         """(member slice, row slice) of every block of a pass without keep."""
-        member_bytes = n * self._row_bytes
-        if member_bytes <= FORWARD_BLOCK_BYTES:
-            step = FORWARD_BLOCK_BYTES // member_bytes
-            return [(slice(i, i + step), slice(None))
-                    for i in range(0, members, step)]
         # the largest multiple of FORWARD_BLOCK_ROWS that still fits the
         # budget with a tail of FORWARD_BLOCK_ROWS - 1 rows joined to it
         fit = FORWARD_BLOCK_BYTES // self._row_bytes - (FORWARD_BLOCK_ROWS - 1)

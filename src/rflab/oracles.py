@@ -218,21 +218,22 @@ def _quad(f, lo: float, hi: float, points=(), *, tol: float) -> float:
                              f"to {tol:.0e} ({a.size} panels still open)")
 
 
-def tv_distance_mixtures(inst: LowerBoundInstance,
-                         abs_tol: float = 1e-8) -> float:
+def tv_distance_mixtures(inst: LowerBoundInstance) -> float:
     """TV(pi_1^(1), pi_1^(2)) = 1/2 int |p1 - p2|, by _quad over
     +-(R + 12 sigma) with breakpoints at the component means and their
-    midpoints.
+    midpoints, to an absolute min(1e-8, 1e-3 eta).
 
     The result must not exceed eta (the backgrounds cancel exactly); violation
-    beyond quadrature tolerance is raised as an error, as is a quadrature that
-    does not converge.
+    beyond that tolerance is raised as an error, as is a quadrature that
+    does not converge. The tolerance scales with eta below 1e-5, so that the
+    guard still sees a TV of a few eta when eta is small.
     """
+    tol = min(1e-8, 1e-3 * inst.eta)
     tv = 0.5 * _quad(
         lambda x: np.abs(target_pdf(inst, 1, x) - target_pdf(inst, 2, x)),
         -inst.R - 12.0 * inst.sigma, inst.R + 12.0 * inst.sigma,
-        points=(-inst.R, -inst.R / 2, 0.0, inst.R / 2, inst.R), tol=abs_tol)
-    if tv > inst.eta + 1e-8:
+        points=(-inst.R, -inst.R / 2, 0.0, inst.R / 2, inst.R), tol=tol)
+    if tv > inst.eta + tol:
         raise FloatingPointError(f"computed TV {tv:.3e} exceeds eta {inst.eta:.3e}")
     return tv
 

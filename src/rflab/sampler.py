@@ -95,6 +95,5 @@ def reflow(net: VelocityNet, round_index: int, pi0: DistributionSpec,
     z1, _ = euler_integrate(net, z0, integrate_steps)
     pairs = couple_given(rng.derive(2), z0, z1)
     out = net.copy()
-    train(out, pairs, dataclasses.replace(cfg, n_samples=n_synth),
-          seed=splitmix64(seed ^ splitmix64(round_index + 1)))
+    train(out, pairs, cfg, seed=splitmix64(seed ^ splitmix64(round_index + 1)))
     return out

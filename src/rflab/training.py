@@ -26,7 +26,6 @@ class DivergenceError(RuntimeError):
 
 @dataclasses.dataclass
 class TrainConfig:
-    n_samples: int
     batch_size: int
     steps: int
     schedule: str = "diminishing"      # "constant" | "diminishing"
@@ -43,8 +42,6 @@ class TrainConfig:
             raise ValueError(f"unknown schedule: {self.schedule!r}")
         if self.batch_size < 1 or self.steps < 1:
             raise ValueError("batch_size and steps must be >= 1")
-        if self.n_samples and self.batch_size > self.n_samples:
-            raise ValueError("batch_size must not exceed n_samples")
         if self.schedule == "constant":
             if not (self.eta > 0):
                 raise ValueError("constant schedule needs eta > 0")
@@ -99,10 +96,8 @@ def train(net: VelocityNet, data: CoupledBatch, cfg: TrainConfig,
     parameters while the others carry on.
     """
     n = len(data)
-    if n == 0:
-        raise ValueError("empty data")
-    if cfg.n_samples and cfg.n_samples != n:
-        raise ValueError(f"cfg.n_samples = {cfg.n_samples} but data has {n} rows")
+    if cfg.batch_size > n:
+        raise ValueError(f"batch_size {cfg.batch_size} exceeds the {n} rows of data")
     lead = net.theta.shape[:-1]
     seeds = seed if lead else (seed,)
     if data.t.shape[:-1] != lead or not isinstance(seeds, tuple) \

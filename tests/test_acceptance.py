@@ -250,7 +250,7 @@ def test_c08_sgd_rate():
     t0 = time.perf_counter()
     problem = QuadraticProblem(lambdas=np.array([1.0, 2.0]),
                                theta0=np.array([2.0, -1.0]), noise_var=0.5)
-    cfg = TrainConfig(n_samples=2, batch_size=2, steps=1000, c=3.0,
+    cfg = TrainConfig(batch_size=2, steps=1000, c=3.0,
                       gamma=6.0)
     rep = sgd_rate_check(problem, cfg, n_seeds=20)
     elapsed = time.perf_counter() - t0
@@ -277,7 +277,7 @@ def test_c09_reflow_straightens_and_does_not_hurt_w2():
         root = RngStream(1000 + seed)
         data = draw_coupled(root.derive(1), pi0, pi1, 2048)
         net = VelocityNet.init(arch, root.derive(2))
-        cfg = TrainConfig(n_samples=2048, batch_size=64, steps=600,
+        cfg = TrainConfig(batch_size=64, steps=600,
                           schedule="diminishing", eta=0.05, c=8.0,
                           gamma=80.0, record_every=600)
         from rflab.training import train

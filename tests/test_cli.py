@@ -153,6 +153,13 @@ _CONFIG_PROBES = {
                         "sweep", "field 'sweep.grid' must be an integer"),
     "sweep-not-an-object": ({"sweep": [1]}, "sweep",
                             "field 'sweep' must be a JSON object"),
+    # a grid below 1 raised ZeroDivisionError or a math domain error
+    "sweep-grid-zero": ({"sweep": {**_SWEEP_BLOCK,
+                                   "grid": [0, 10, 100, 1000, 10000]}}, "sweep",
+                        "field 'sweep': grid values must be >= 1"),
+    "sweep-grid-negative": ({"sweep": {**_SWEEP_BLOCK,
+                                       "grid": [-5, 10, 100, 1000, 10000]}},
+                            "sweep", "field 'sweep': grid values must be >= 1"),
     "sweep-eval-samples-one": ({"sweep": {**_SWEEP_BLOCK, "eval_samples": 1}},
                                "sweep",
                                "field 'sweep': eval_samples must be >= 2"),
@@ -195,12 +202,26 @@ _CONFIG_PROBES = {
                                   "train", "field 'bounds': P must be > 0"),
     "lowerbound-m-zero": ({"lowerbound": {**_LOWERBOUND_BLOCK, "m": 0}},
                           "lowerbound", "field 'lowerbound.m' must be >= 1"),
+    # train.n_samples below 1 exits at load, whichever command runs
     "train-n-samples-zero": ({"train": {**_TRAIN_BLOCK, "n_samples": 0}},
                              "train", "field 'train.n_samples' must be >= 1"),
-    # a sweep config may leave n_samples unset; train then needs it named
+    "gradcheck-n-samples-zero": ({"train": {**_TRAIN_BLOCK, "n_samples": 0}},
+                                 "gradcheck",
+                                 "field 'train.n_samples' must be >= 1"),
+    "sweep-n-samples-negative": ({"train": {"n_samples": -1},
+                                  "sweep": _SWEEP_BLOCK}, "sweep",
+                                 "field 'train.n_samples' must be >= 1"),
+    "train-n-samples-fraction": ({"train": {**_TRAIN_BLOCK, "n_samples": 64.5}},
+                                 "train", "field 'train.n_samples' must be an "
+                                 "integer, not 64.5"),
+    # train draws n_samples rows, which must hold a minibatch
+    "train-batch-above-n-samples": (
+        {"train": {**_TRAIN_BLOCK, "n_samples": 16}}, "train",
+        "field 'train.n_samples' (16) must be >= train.batch_size (32)"),
+    # a sweep never reads n_samples, so its default 1024 stays below the batch
     "train-on-sweep-config-big-batch": (
         {"train": {"batch_size": 2048}, "sweep": _SWEEP_BLOCK}, "train",
-        "field 'train.n_samples' must be >= 1"),
+        "field 'train.n_samples' (1024) must be >= train.batch_size (2048)"),
     # a string or a boolean where a number belongs is not read as one
     "train-c-numeric-text": ({"train": {**_TRAIN_BLOCK, "c": "0.5"}}, "train",
                              "field 'train.c' must be a number, not '0.5'"),
@@ -523,23 +544,28 @@ def test_sample_rejects_bad_flags_before_any_work(tmp_path, capsys, flags,
 
 
 def test_sample_reflow_needs_n_samples_before_any_work(tmp_path, capsys):
-    # a sweep config whose batch exceeds the default leaves n_samples unset
+    # a sweep config whose batch exceeds the default n_samples, and a train
+    # block whose n_samples is below its batch
     ck = tmp_path / "net.bin"
     save_checkpoint(VelocityNet.init(_default_arch(), RngStream(3)), str(ck),
                     seed=3, step=0)
-    cfg = _write_config(tmp_path, {"train": {"batch_size": 2048},
-                                   "sweep": _SWEEP_BLOCK})
-    out = tmp_path / "out"
-    code = main(["--config", cfg, "--out", str(out), "sample",
-                 "--checkpoint", str(ck), "--reflow", "1", "--steps", "2"])
-    assert code == EXIT_CONFIG
-    assert "config error: field 'train.n_samples' must be >= 1" \
-        in capsys.readouterr().err
-    assert not out.exists()
-    # without reflow no data set is drawn, so n_samples is never read
-    assert main(["--config", cfg, "--out", str(out), "sample",
-                 "--checkpoint", str(ck), "--steps", "2",
-                 "--count", "4"]) == EXIT_OK
+    for obj, sizes in [
+            ({"train": {"batch_size": 2048}, "sweep": _SWEEP_BLOCK}, (1024, 2048)),
+            ({"train": {**_TRAIN_BLOCK, "n_samples": 16}}, (16, 32))]:
+        cfg = _write_config(tmp_path, obj)
+        out = tmp_path / f"out{sizes[0]}"
+        code = main(["--config", cfg, "--out", str(out), "sample",
+                     "--checkpoint", str(ck), "--reflow", "1", "--steps", "2"])
+        assert code == EXIT_CONFIG
+        assert "config error: field 'train.n_samples' (%d) must be >= " \
+            "train.batch_size (%d)" % sizes in capsys.readouterr().err
+        assert not out.exists()
+        # without reflow no data set is drawn, so n_samples is never read;
+        # nor does a command that trains nothing read it
+        assert main(["--config", cfg, "--out", str(out), "sample",
+                     "--checkpoint", str(ck), "--steps", "2",
+                     "--count", "4"]) == EXIT_OK
+        assert main(["--config", cfg, "--out", str(out), "gradcheck"]) == EXIT_OK
 
 
 def _bad_checkpoint(tmp_path, kind):
@@ -901,7 +927,7 @@ def test_sweep_cells_honour_the_train_block(tmp_path, monkeypatch):
     real_train = cli.train
 
     def spy_train(net, data, cfg, seed):
-        seen.append((cfg.n_samples,
+        seen.append((len(data),
                      (cfg.divergence_factor, cfg.mu_hat, cfg.kappa_hat)))
         return real_train(net, data, cfg, seed=seed)
 
@@ -919,28 +945,25 @@ def test_sweep_cells_honour_the_train_block(tmp_path, monkeypatch):
 
 def test_sweep_config_takes_a_batch_above_the_default_n_samples(tmp_path,
                                                                 monkeypatch):
-    # cells set n_samples and use min(batch_size, n), so the train block is
-    # checked with n_samples unset; the default stays where the batch fits
+    # a sweep never reads n_samples: each net trains on its own n rows in
+    # minibatches of min(batch_size, n)
     seen = []
     real_train = cli.train
 
     def spy_train(net, data, cfg, seed):
-        seen.append((cfg.n_samples, cfg.batch_size))
+        seen.append((len(data), cfg.batch_size))
         return real_train(net, data, cfg, seed=seed)
 
     monkeypatch.setattr(cli, "train", spy_train)
     obj = {"train": {"batch_size": 2048},
            "sweep": {**_SWEEP_BLOCK, "grid": [128, 256, 512, 1024, 4096]}}
     cfg = _write_config(tmp_path, obj)
-    assert cli.load_experiment(cfg).train.n_samples == 0
+    assert cli.load_experiment(cfg).n_samples == 1024
     assert main(["--config", cfg, "--out", str(tmp_path / "out"),
                  "sweep"]) == EXIT_OK
     # the proxy first, then one group per n
     assert seen == [(256, 64), (128, 128), (256, 256), (512, 512),
                     (1024, 1024), (4096, 2048)]
-    obj["train"]["batch_size"] = 64
-    cfg = _write_config(tmp_path, obj)
-    assert cli.load_experiment(cfg).train.n_samples == 1024
 
 
 # -- bounds ------------------------------------------------------------------------

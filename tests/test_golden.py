@@ -15,6 +15,9 @@ an unknown one the test prints the computed entry and skips.
 A change that alters output bytes on purpose rewrites the entry:
 
     PYTHONPATH=src python tests/test_golden.py --update
+
+which prints each output it added, removed or changed, with the first 12
+hex digits of the old and new hash, or "no entry changed".
 """
 
 import hashlib
@@ -133,6 +136,30 @@ def _read_manifest() -> dict:
         return json.load(fh)
 
 
+def _changed(want: dict, got: dict) -> list[str]:
+    """The outputs whose hash differs between two entries, or that only one
+    of them has."""
+    return sorted(f for f in set(want) | set(got) if want.get(f) != got.get(f))
+
+
+def _report(want: dict, got: dict) -> list[str]:
+    """One line per output that an update adds, removes or changes, with the
+    first 12 hex digits of its old and new hash."""
+    return [f"{'added' if f not in want else 'removed' if f not in got else 'changed'}"
+            f" {f}: {want.get(f, '-')[:12]} -> {got.get(f, '-')[:12]}"
+            for f in _changed(want, got)] or ["no entry changed"]
+
+
+def test_update_report_names_each_changed_entry():
+    want = {"a/x": "1" * 64, "a/y": "2" * 64, "b/z": "3" * 64}
+    got = {"a/x": "1" * 64, "a/y": "4" * 64, "c/w": "5" * 64}
+    assert _report(want, got) == [
+        "changed a/y: 222222222222 -> 444444444444",
+        "removed b/z: 333333333333 -> -",
+        "added c/w: - -> 555555555555"]
+    assert _report(want, want) == ["no entry changed"]
+
+
 def test_outputs_match_the_golden_manifest(tmp_path, capsys):
     run_set(str(tmp_path))
     got = hashes(str(tmp_path))
@@ -143,16 +170,19 @@ def test_outputs_match_the_golden_manifest(tmp_path, capsys):
             print(f"\nno golden manifest for {key!r}; computed:\n"
                   + json.dumps({key: got}, indent=2, sort_keys=True))
         pytest.skip(f"no golden manifest for this environment: {key}")
-    changed = sorted(f for f in set(want) | set(got) if want.get(f) != got.get(f))
+    changed = _changed(want, got)
     assert not changed, f"outputs differ from the golden manifest: {changed}"
 
 
 def update() -> None:
-    """Rewrite this environment's entry of the manifest."""
+    """Rewrite this environment's entry of the manifest, and print each
+    entry that changed."""
     with tempfile.TemporaryDirectory() as work:
         run_set(work)
         got = hashes(work)
-    manifest = {**_read_manifest(), fingerprint(): got}
+    manifest = _read_manifest()
+    print("\n".join(_report(manifest.get(fingerprint(), {}), got)))
+    manifest[fingerprint()] = got
     os.makedirs(os.path.dirname(_MANIFEST), exist_ok=True)
     with open(_MANIFEST, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

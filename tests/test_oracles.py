@@ -262,6 +262,10 @@ def test_tv_tiny_epsilon():
     tv = tv_distance_mixtures(inst)
     assert tv <= inst.eta + 1e-8
     assert tv == pytest.approx(inst.eta, rel=1e-3, abs=1e-12)
+    # the tolerance scales with eta, so far smaller contaminations converge
+    for eps in (1e-3, 1e-4):
+        inst = _inst(R=40.0, eps=eps)
+        assert tv_distance_mixtures(inst) == pytest.approx(inst.eta, rel=1e-9)
 
 
 def _weighted_sq_diff(inst):
@@ -337,6 +341,15 @@ def test_tv_guards(monkeypatch):
                         * (1.0 + 0.5 * (h == 1)))
     with pytest.raises(FloatingPointError, match="exceeds eta"):
         tv_distance_mixtures(inst)
+    # at eta 6.25e-10 a second copy of hypothesis 1's signal, TV 1.5 eta,
+    # is far inside an absolute 1e-8 but still caught
+    monkeypatch.setattr(oracles, "target_pdf", lambda i, h, x: real(i, h, x)
+                        + (h == 1) * i.eta * np.exp(oracles._norm_logpdf(
+                            np.asarray(x, dtype=float), i.signal_mean(1),
+                            i.sigma ** 2)))
+    with pytest.raises(FloatingPointError,
+                       match="computed TV 9.375e-10 exceeds eta 6.250e-10"):
+        tv_distance_mixtures(_inst(R=40.0, eps=1e-3))
 
 
 def test_separation_frozen_values():

@@ -132,15 +132,15 @@ def _trained_toy_net(seed=0):
     return VelocityNet.init(arch, RngStream(seed))
 
 
-def _reflow_cfg(n):
-    return TrainConfig(n_samples=n, batch_size=16, steps=40, c=4.0, gamma=40.0)
+def _reflow_cfg():
+    return TrainConfig(batch_size=16, steps=40, c=4.0, gamma=40.0)
 
 
 def test_reflow_round_bookkeeping():
     pi0 = _gauss([0.0])
     net = _trained_toy_net()
     theta = net.get_theta().copy()
-    out = reflow(net, 0, pi0, 64, _reflow_cfg(64), RngStream(11),
+    out = reflow(net, 0, pi0, 64, _reflow_cfg(), RngStream(11),
                  integrate_steps=20, seed=5)
     # the input net is untouched and the retrained net is a distinct object
     assert out is not net
@@ -153,9 +153,9 @@ def test_reflow_never_draws_from_target():
     pi1 = _gauss([2.0])
     net = _trained_toy_net()
     before = pi1.draws
-    net = reflow(net, 0, pi0, 32, _reflow_cfg(32), RngStream(3),
+    net = reflow(net, 0, pi0, 32, _reflow_cfg(), RngStream(3),
                  integrate_steps=10, seed=5)
-    net = reflow(net, 1, pi0, 32, _reflow_cfg(32), RngStream(4),
+    net = reflow(net, 1, pi0, 32, _reflow_cfg(), RngStream(4),
                  integrate_steps=10, seed=5)
     assert pi1.draws == before
     assert pi0.draws == 64
@@ -166,10 +166,10 @@ def test_reflow_round_cap():
     pi0 = _gauss([0.0])
     net = _trained_toy_net()
     for k in range(MAX_REFLOW_ROUNDS):
-        net = reflow(net, k, pi0, 32, _reflow_cfg(32), RngStream(7),
+        net = reflow(net, k, pi0, 32, _reflow_cfg(), RngStream(7),
                      integrate_steps=10, seed=5)
     with pytest.raises(ValueError, match="capped"):
-        reflow(net, MAX_REFLOW_ROUNDS, pi0, 32, _reflow_cfg(32), RngStream(7),
+        reflow(net, MAX_REFLOW_ROUNDS, pi0, 32, _reflow_cfg(), RngStream(7),
                integrate_steps=10, seed=5)
 
 
@@ -177,13 +177,13 @@ def test_reflow_is_deterministic():
     pi0_a = _gauss([0.0])
     pi0_b = _gauss([0.0])
     out_a = reflow(_trained_toy_net(), 0, pi0_a, 48,
-                   _reflow_cfg(48), RngStream(9), integrate_steps=10, seed=5)
+                   _reflow_cfg(), RngStream(9), integrate_steps=10, seed=5)
     out_b = reflow(_trained_toy_net(), 0, pi0_b, 48,
-                   _reflow_cfg(48), RngStream(9), integrate_steps=10, seed=5)
+                   _reflow_cfg(), RngStream(9), integrate_steps=10, seed=5)
     assert (out_a.get_theta() == out_b.get_theta()).all()
 
 
 def test_reflow_validates_n_synth():
     with pytest.raises(ValueError):
-        reflow(_trained_toy_net(), 0, _gauss([0.0]), 0, _reflow_cfg(1),
+        reflow(_trained_toy_net(), 0, _gauss([0.0]), 0, _reflow_cfg(),
                RngStream(0), seed=5)

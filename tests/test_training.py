@@ -30,34 +30,34 @@ def _point_mass_data(n, seed=0):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(n_samples=8, batch_size=16, steps=10)
+        TrainConfig(batch_size=0, steps=10)
     with pytest.raises(ValueError):
-        TrainConfig(n_samples=8, batch_size=4, steps=0)
+        TrainConfig(batch_size=4, steps=0)
     with pytest.raises(ValueError):
-        TrainConfig(n_samples=8, batch_size=4, steps=10, schedule="cosine")
+        TrainConfig(batch_size=4, steps=10, schedule="cosine")
     with pytest.raises(ValueError):
-        TrainConfig(n_samples=8, batch_size=4, steps=10, record_every=0)
+        TrainConfig(batch_size=4, steps=10, record_every=0)
     # diminishing schedule needs c > 1/mu_hat and gamma >= kappa_hat * c
     with pytest.raises(ValueError):
-        TrainConfig(n_samples=8, batch_size=4, steps=10, c=1.0, mu_hat=0.5)
-    TrainConfig(n_samples=8, batch_size=4, steps=10, c=4.0, mu_hat=0.5)
+        TrainConfig(batch_size=4, steps=10, c=1.0, mu_hat=0.5)
+    TrainConfig(batch_size=4, steps=10, c=4.0, mu_hat=0.5)
     with pytest.raises(ValueError):
-        TrainConfig(n_samples=8, batch_size=4, steps=10, c=4.0, gamma=10.0,
+        TrainConfig(batch_size=4, steps=10, c=4.0, gamma=10.0,
                     kappa_hat=5.0)
     # constant schedule needs eta <= 1/kappa_hat
     with pytest.raises(ValueError):
-        TrainConfig(n_samples=8, batch_size=4, steps=10, schedule="constant",
+        TrainConfig(batch_size=4, steps=10, schedule="constant",
                     eta=0.5, kappa_hat=4.0)
-    TrainConfig(n_samples=8, batch_size=4, steps=10, schedule="constant",
+    TrainConfig(batch_size=4, steps=10, schedule="constant",
                 eta=0.25, kappa_hat=4.0)
 
 
 def test_step_size_formulas():
-    cfg_c = TrainConfig(n_samples=8, batch_size=4, steps=10,
+    cfg_c = TrainConfig(batch_size=4, steps=10,
                         schedule="constant", eta=0.07)
     assert step_size(cfg_c, 0) == 0.07
     assert step_size(cfg_c, 99) == 0.07
-    cfg_d = TrainConfig(n_samples=8, batch_size=4, steps=10, c=4.0, gamma=40.0)
+    cfg_d = TrainConfig(batch_size=4, steps=10, c=4.0, gamma=40.0)
     assert step_size(cfg_d, 0) == 0.1
     assert step_size(cfg_d, 60) == pytest.approx(4.0 / 100.0)
 
@@ -67,7 +67,7 @@ def test_step_size_formulas():
 
 def test_train_is_deterministic():
     data = _data(64, seed=5)
-    cfg = TrainConfig(n_samples=64, batch_size=16, steps=40)
+    cfg = TrainConfig(batch_size=16, steps=40)
     net_a = VelocityNet.init(_arch(), RngStream(2))
     net_b = net_a.copy()
     tr_a = train(net_a, data, cfg, seed=9)
@@ -79,7 +79,7 @@ def test_train_is_deterministic():
 
 def test_train_trace_layout():
     data = _data(32, seed=1)
-    cfg = TrainConfig(n_samples=32, batch_size=8, steps=12, record_every=5)
+    cfg = TrainConfig(batch_size=8, steps=12, record_every=5)
     net = VelocityNet.init(_arch(), RngStream(0))
     loss0_expected = net.loss(data)
     tr = train(net, data, cfg, seed=3)
@@ -97,7 +97,7 @@ def test_train_trace_layout():
 
 def test_train_keeps_iterates_feasible():
     data = _data(64, seed=2)
-    cfg = TrainConfig(n_samples=64, batch_size=8, steps=60, schedule="constant",
+    cfg = TrainConfig(batch_size=8, steps=60, schedule="constant",
                       eta=0.5)
     net = VelocityNet.init(_arch(V=1.5), RngStream(4))
     train(net, data, cfg, seed=1)
@@ -108,7 +108,7 @@ def test_train_updates_the_parameter_buffer_in_place():
     # the constraint binds at this step size, so both the SGD step and the
     # projection write through the layer views
     data = _data(64, seed=2)
-    cfg = TrainConfig(n_samples=64, batch_size=8, steps=60, schedule="constant",
+    cfg = TrainConfig(batch_size=8, steps=60, schedule="constant",
                       eta=0.5)
     net = VelocityNet.init(_arch(V=1.5), RngStream(4))
     theta, before = net.theta, net.get_theta()
@@ -148,7 +148,7 @@ def test_lockstep_train_matches_solo_runs(scenario):
     datas[2].disp[:] *= scale
     nets = [VelocityNet.init(_arch(V), RngStream(5, i)) for i in range(4)]
     seeds = (7, 8, 9, 10)
-    cfg = TrainConfig(n_samples=64, batch_size=16, steps=40, record_every=7,
+    cfg = TrainConfig(batch_size=16, steps=40, record_every=7,
                       **overrides)
     stack = VelocityNet.stack(nets)
     with np.errstate(all="ignore"):
@@ -180,7 +180,7 @@ def test_train_rejects_a_mismatched_stack():
     stack = VelocityNet.stack([VelocityNet.init(_arch(), RngStream(0, i))
                                for i in range(2)])
     stacked = CoupledBatch.stack([_data(32, seed=i) for i in range(2)])
-    cfg = TrainConfig(n_samples=32, batch_size=8, steps=5)
+    cfg = TrainConfig(batch_size=8, steps=5)
     for net, data, seed in [(stack, stacked, 3), (stack, stacked, (1, 2, 3)),
                             (stack, _data(32), (1, 2)),
                             (VelocityNet.init(_arch(), RngStream(0)), stacked, 1)]:
@@ -188,11 +188,16 @@ def test_train_rejects_a_mismatched_stack():
             train(net, data, cfg, seed=seed)
 
 
-def test_train_rejects_sample_count_mismatch():
-    data = _data(32)
-    cfg = TrainConfig(n_samples=64, batch_size=8, steps=5)
-    with pytest.raises(ValueError, match="32"):
-        train(VelocityNet.init(_arch(), RngStream(0)), data, cfg)
+def test_train_rejects_a_batch_above_the_rows():
+    # n is the data's length, for a single net and for a stack
+    cfg = TrainConfig(batch_size=64, steps=5)
+    with pytest.raises(ValueError, match="batch_size 64 exceeds the 32 rows"):
+        train(VelocityNet.init(_arch(), RngStream(0)), _data(32), cfg)
+    stack = VelocityNet.stack([VelocityNet.init(_arch(), RngStream(0, i))
+                               for i in range(2)])
+    stacked = CoupledBatch.stack([_data(32, seed=i) for i in range(2)])
+    with pytest.raises(ValueError, match="batch_size 64 exceeds the 32 rows"):
+        train(stack, stacked, cfg, seed=(1, 2))
 
 
 def test_train_fits_point_mass_coupling():
@@ -200,7 +205,7 @@ def test_train_fits_point_mass_coupling():
     # augmented bias row can represent exactly. Realizable, so constant steps
     # converge; per-sample gradients vanish together at the optimum.
     data = _point_mass_data(64, seed=7)
-    cfg = TrainConfig(n_samples=64, batch_size=16, steps=2000,
+    cfg = TrainConfig(batch_size=16, steps=2000,
                       schedule="constant", eta=0.5)
     net = VelocityNet.init(_arch(), RngStream(7))
     tr = train(net, data, cfg, seed=7)
@@ -210,7 +215,7 @@ def test_train_fits_point_mass_coupling():
 
 def test_divergence_error():
     data = _data(32, seed=3)
-    cfg = TrainConfig(n_samples=32, batch_size=8, steps=50,
+    cfg = TrainConfig(batch_size=8, steps=50,
                       divergence_factor=1e-6)
     net = VelocityNet.init(_arch(), RngStream(3))
     with pytest.raises(DivergenceError, match="exceeded"):
@@ -240,7 +245,7 @@ def test_quadratic_problem_basics():
 
 def test_recursion_envelope_first_step_by_hand():
     q = _quad(0.5)
-    cfg = TrainConfig(n_samples=2, batch_size=2, steps=2, c=2.0, gamma=4.0)
+    cfg = TrainConfig(batch_size=2, steps=2, c=2.0, gamma=4.0)
     env = recursion_envelope(q, cfg, 2)
     eta0 = 2.0 / 4.0
     d0 = q.loss(q.theta0)
@@ -253,7 +258,7 @@ def test_iterated_envelope_dominated_by_closed_form():
     # two routes to the same decay statement: the iterated recursion must sit
     # under the closed C/(k+gamma) envelope whose constant comes from induction
     q = _quad(0.5)
-    cfg = TrainConfig(n_samples=2, batch_size=2, steps=500, c=2.0, gamma=4.0)
+    cfg = TrainConfig(batch_size=2, steps=500, c=2.0, gamma=4.0)
     env = recursion_envelope(q, cfg, 500)
     C = closed_envelope_constant(q, cfg, env[0])
     ks = np.arange(501)
@@ -264,18 +269,18 @@ def test_iterated_envelope_dominated_by_closed_form():
 
 def test_closed_envelope_validation():
     q = _quad(0.5)
-    cfg_const = TrainConfig(n_samples=2, batch_size=2, steps=5,
+    cfg_const = TrainConfig(batch_size=2, steps=5,
                             schedule="constant", eta=0.1)
     with pytest.raises(ValueError):
         closed_envelope_constant(q, cfg_const, 1.0)
-    cfg_slow = TrainConfig(n_samples=2, batch_size=2, steps=5, c=0.5, gamma=4.0)
+    cfg_slow = TrainConfig(batch_size=2, steps=5, c=0.5, gamma=4.0)
     with pytest.raises(ValueError):
         closed_envelope_constant(q, cfg_slow, 1.0)
 
 
 def test_sgd_rate_check_smoke():
     q = _quad(0.5)
-    cfg = TrainConfig(n_samples=2, batch_size=2, steps=1000, c=3.0, gamma=6.0)
+    cfg = TrainConfig(batch_size=2, steps=1000, c=3.0, gamma=6.0)
     rep = sgd_rate_check(q, cfg, n_seeds=10)
     assert rep.n_seeds == 10
     assert -1.3 < rep.slope < -0.7
