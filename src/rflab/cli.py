@@ -383,7 +383,7 @@ def _ensure_out(exp: Experiment) -> str:
 
 def _check_n_samples(exp: Experiment) -> None:
     """train and reflow draw one data set of train.n_samples rows, which must
-    hold a minibatch; no other command reads either value."""
+    hold a minibatch; no other command reads n_samples."""
     if exp.n_samples < exp.train.batch_size:
         raise ConfigError(f"field 'train.n_samples' ({exp.n_samples}) must be "
                           f">= train.batch_size ({exp.train.batch_size})")
