@@ -79,8 +79,6 @@ def excess_risk(net, theta_star_proxy, holdout: CoupledBatch) -> float:
 
 @dataclasses.dataclass
 class RateFit:
-    ns: np.ndarray
-    values: np.ndarray
     slope: float
     intercept: float
     stderr: float       # standard error of the slope
@@ -111,4 +109,4 @@ def fit_rate(ns, values) -> RateFit:
     dof = max(ns.size - 2, 1)
     stderr = float(np.sqrt(rss / dof / sxx))
     r2 = 1.0 - rss / tss if tss > 0 else 1.0
-    return RateFit(ns, values, slope, intercept, stderr, r2)
+    return RateFit(slope, intercept, stderr, r2)

@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from rflab import cli
+from rflab import cli, config, sweep
 from rflab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from rflab.distributions import DistributionSpec
 from rflab.linalg_rng import RngStream
@@ -304,7 +304,7 @@ _PRESET_BLOCKS = {"bounds_table.json": "bounds", "gaussian1d_sweep.json": "sweep
 @pytest.mark.parametrize("name", sorted(os.listdir(_CONFIGS)))
 def test_every_shipped_preset_loads(name):
     path = os.path.join(_CONFIGS, name)
-    exp = cli.load_experiment(path)
+    exp = config.load_experiment(path)
     block = _PRESET_BLOCKS[name]
     assert block in _read_json(path)
     assert getattr(exp, block) is not None
@@ -632,7 +632,7 @@ _MIXED_CELLS = ["key.a", True, False, None, 0.1, np.float64(1 / 3),
                                     cli.CSV_BLOCK_ROWS,
                                     cli.CSV_BLOCK_ROWS + 1])
 def test_write_csv_matches_row_formatting(tmp_path, n_rows):
-    exp = cli.load_experiment(None)
+    exp = config.load_experiment(None)
     gen = np.random.default_rng(n_rows)
     wide = gen.standard_normal((n_rows, 2)) * 10.0 ** gen.integers(
         -300, 300, size=(n_rows, 2))
@@ -656,7 +656,7 @@ def test_write_csv_matches_row_formatting(tmp_path, n_rows):
 
 
 def test_write_csv_rejects_ragged_columns(tmp_path):
-    exp = cli.load_experiment(None)
+    exp = config.load_experiment(None)
     path = tmp_path / "t.csv"
     with pytest.raises(ValueError, match="unequal length"):
         cli.write_csv(str(path), exp, ["a", "b"], [np.zeros(3), [1, 2]])
@@ -762,7 +762,7 @@ def test_sweep_names_both_fits_it_leaves_out_when_cells_fail(tmp_path,
                                                              capsys):
     # every cell of n = 64 and 256 diverges, so three grid values are left
     # and neither rate can be fitted
-    real_draw = cli.draw_coupled
+    real_draw = sweep.draw_coupled
 
     def poisoned_draw(rng, pi0, pi1, n):
         batch = real_draw(rng, pi0, pi1, n)
@@ -770,7 +770,7 @@ def test_sweep_names_both_fits_it_leaves_out_when_cells_fail(tmp_path,
             batch.disp *= 1e300
         return batch
 
-    monkeypatch.setattr(cli, "draw_coupled", poisoned_draw)
+    monkeypatch.setattr(sweep, "draw_coupled", poisoned_draw)
     cfg = _write_config(tmp_path, _SMALL_SWEEP)
     out = tmp_path / "out"
     with np.errstate(all="ignore"):
@@ -787,7 +787,7 @@ def test_sweep_names_both_fits_it_leaves_out_when_cells_fail(tmp_path,
 
 def test_sweep_with_no_usable_cell_exits_3(tmp_path, monkeypatch, capsys):
     # every cell diverges: all three files are still written
-    real_draw = cli.draw_coupled
+    real_draw = sweep.draw_coupled
 
     def poisoned_draw(rng, pi0, pi1, n):
         batch = real_draw(rng, pi0, pi1, n)
@@ -795,7 +795,7 @@ def test_sweep_with_no_usable_cell_exits_3(tmp_path, monkeypatch, capsys):
             batch.disp *= 1e300
         return batch
 
-    monkeypatch.setattr(cli, "draw_coupled", poisoned_draw)
+    monkeypatch.setattr(sweep, "draw_coupled", poisoned_draw)
     cfg = _write_config(tmp_path, _SMALL_SWEEP)
     out = tmp_path / "out"
     with np.errstate(all="ignore"):
@@ -810,7 +810,7 @@ def test_sweep_value_error_in_a_cell_exits_3_before_any_output(tmp_path,
                                                               monkeypatch,
                                                               capsys):
     # a ValueError is no cell failure: the sweep stops and writes no file
-    real_score = cli._score_cell
+    real_score = sweep._score_cell
     calls = []
 
     def failing_score(*args):
@@ -819,7 +819,7 @@ def test_sweep_value_error_in_a_cell_exits_3_before_any_output(tmp_path,
             raise ValueError("precondition broken in one cell")
         return real_score(*args)
 
-    monkeypatch.setattr(cli, "_score_cell", failing_score)
+    monkeypatch.setattr(sweep, "_score_cell", failing_score)
     cfg = _write_config(tmp_path, _SMALL_SWEEP)
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "sweep"]) == EXIT_NUMERIC
@@ -851,7 +851,7 @@ def test_sweep_rerun_and_jobs_agree(tmp_path):
 def test_sweep_divergent_cells_go_to_failures_csv(tmp_path, monkeypatch):
     # both n = 64 cells regress on displacements scaled by 1e300: their loss
     # is infinite at the first record step, so training reports a divergence
-    real_draw = cli.draw_coupled
+    real_draw = sweep.draw_coupled
 
     def poisoned_draw(rng, pi0, pi1, n):
         batch = real_draw(rng, pi0, pi1, n)
@@ -859,7 +859,7 @@ def test_sweep_divergent_cells_go_to_failures_csv(tmp_path, monkeypatch):
             batch.disp *= 1e300
         return batch
 
-    monkeypatch.setattr(cli, "draw_coupled", poisoned_draw)
+    monkeypatch.setattr(sweep, "draw_coupled", poisoned_draw)
     cfg = _write_config(tmp_path, _SMALL_SWEEP)
     out = tmp_path / "out"
     # failed cells are recorded, not fatal
@@ -896,7 +896,7 @@ def test_sweep_records_a_non_finite_cell_and_carries_on(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path, _SMALL_SWEEP)
     ref = tmp_path / "ref"
     assert main(["--config", cfg, "--out", str(ref), "sweep"]) == EXIT_OK
-    real_draw = cli.draw_coupled
+    real_draw = sweep.draw_coupled
     cells = []
 
     def poisoned_draw(rng, pi0, pi1, n):
@@ -907,7 +907,7 @@ def test_sweep_records_a_non_finite_cell_and_carries_on(tmp_path, monkeypatch):
                 batch.disp[:] = 1e308
         return batch
 
-    monkeypatch.setattr(cli, "draw_coupled", poisoned_draw)
+    monkeypatch.setattr(sweep, "draw_coupled", poisoned_draw)
     out = tmp_path / "out"
     with np.errstate(all="ignore"):
         assert main(["--config", cfg, "--out", str(out), "sweep"]) == EXIT_OK
@@ -924,14 +924,14 @@ def test_sweep_cells_honour_the_train_block(tmp_path, monkeypatch):
     # the proxy and every cell train under the configured guard and
     # curvature assumptions, not under TrainConfig defaults
     seen = []
-    real_train = cli.train
+    real_train = sweep.train
 
     def spy_train(net, data, cfg, seed):
         seen.append((len(data),
                      (cfg.divergence_factor, cfg.mu_hat, cfg.kappa_hat)))
         return real_train(net, data, cfg, seed=seed)
 
-    monkeypatch.setattr(cli, "train", spy_train)
+    monkeypatch.setattr(sweep, "train", spy_train)
     obj = json.loads(json.dumps(_SMALL_SWEEP))
     obj["train"].update({"divergence_factor": 50.0, "mu_hat": 0.5,
                          "kappa_hat": 0.01})
@@ -948,17 +948,17 @@ def test_sweep_config_takes_a_batch_above_the_default_n_samples(tmp_path,
     # a sweep never reads n_samples: each net trains on its own n rows in
     # minibatches of min(batch_size, n)
     seen = []
-    real_train = cli.train
+    real_train = sweep.train
 
     def spy_train(net, data, cfg, seed):
         seen.append((len(data), cfg.batch_size))
         return real_train(net, data, cfg, seed=seed)
 
-    monkeypatch.setattr(cli, "train", spy_train)
+    monkeypatch.setattr(sweep, "train", spy_train)
     obj = {"train": {"batch_size": 2048},
            "sweep": {**_SWEEP_BLOCK, "grid": [128, 256, 512, 1024, 4096]}}
     cfg = _write_config(tmp_path, obj)
-    assert cli.load_experiment(cfg).n_samples == 1024
+    assert config.load_experiment(cfg).n_samples == 1024
     assert main(["--config", cfg, "--out", str(tmp_path / "out"),
                  "sweep"]) == EXIT_OK
     # the proxy first, then one group per n

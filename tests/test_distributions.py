@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles_support import pair_subgaussian_sigma, tail_mass_outside
-from rflab.cli import ConfigError, load_experiment
+from rflab.config import ConfigError, load_experiment
 from rflab.distributions import (CoupledBatch, DistributionSpec, couple_given,
                                  draw_coupled, interpolate, truncation_level)
 from rflab.linalg_rng import RngStream

@@ -673,3 +673,38 @@ def test_import_rflab_stops_the_free_and_fault_cycle():
     run = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
                          capture_output=True, text=True, check=True)
     assert int(run.stdout) < 1000
+
+
+# -- BLAS threads ----------------------------------------------------------------------
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
+              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+_BLAS_PROBE = """
+import ctypes, glob, json, os, sys
+import rflab.network
+import numpy as np
+
+threads = None
+libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+    get = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+    if get is not None:
+        get.argtypes, get.restype = (), ctypes.c_int
+        threads = get()
+print(json.dumps({"env": {v: os.environ.get(v) for v in sys.argv[1:]},
+                  "threads": threads}))
+"""
+
+
+def test_importing_any_rflab_module_pins_blas_to_one_thread():
+    # the package pins BLAS, so a module imported on its own, without the
+    # cli, runs single-threaded too
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(rflab.__file__))
+    run = subprocess.run([sys.executable, "-c", _BLAS_PROBE, *_BLAS_VARS],
+                         env=env, capture_output=True, text=True, check=True)
+    report = json.loads(run.stdout)
+    assert report["env"] == {v: "1" for v in _BLAS_VARS}
+    # numpy's bundled OpenBLAS, where this numpy ships one
+    assert report["threads"] in (None, 1)
