@@ -58,7 +58,6 @@ class SweepSpec:
             raise ValueError("steps_exponent must be in [1, 2]")
 
 
-
 def _sweep_cfg(exp: Experiment, n: int, epochs: int, batch: int) -> TrainConfig:
     """The train block for one sweep net on n rows: minibatches of
     min(batch, n), epochs x (n / batch)^steps_exponent steps, and one loss
