@@ -24,12 +24,13 @@ from .distributions import CoupledBatch
 from .linalg_rng import RngStream, as_field_input, l1_project_row
 
 # A forward pass that keeps no activations runs in blocks whose widest buffer,
-# rows x members x widest layer x 8 bytes, stays within FORWARD_BLOCK_BYTES:
-# under the 1 MiB mmap threshold set in rflab/__init__.py, so block buffers
-# are reused from the heap. A stack runs one member at a time, and a member
-# whose own pass is too large is split along its rows, in blocks of a
-# multiple of FORWARD_BLOCK_ROWS rows. BLAS computes a small-M product with
-# other kernels, so a block never has fewer than FORWARD_BLOCK_ROWS rows: a
+# samples x members x (widest layer + 1) x 8 bytes, stays within
+# FORWARD_BLOCK_BYTES: under the 1 MiB mmap threshold set in rflab/__init__.py,
+# so block buffers are reused from the heap. A stack runs one member at a
+# time, and a member whose own pass is too large is split along its samples,
+# in blocks of a multiple of FORWARD_BLOCK_ROWS samples. The samples are the
+# N of every layer's product W @ aug, and BLAS computes a small-N product with
+# other kernels, so a block never has fewer than FORWARD_BLOCK_ROWS samples: a
 # shorter tail joins the block before it, and the block size does not depend
 # on the number of members.
 FORWARD_BLOCK_BYTES = 1 << 20
@@ -43,9 +44,10 @@ class Activation:
     lipschitz: float   # L_phi
 
     def value(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Activation of z, written into out when given (which may be a
-        strided view). exp and logaddexp run on contiguous temporaries; only
-        exact operations write into out, so both paths give the same bits."""
+        """Activation of z, written into out when given (the forward pass
+        gives the next layer's [..., :-1, :] block). exp and logaddexp run
+        on temporaries; only exact operations write into out, so both paths
+        give the same bits."""
         if self.name == "tanh":
             return np.tanh(z, out=out)
         if self.name == "sigmoid":
@@ -164,8 +166,8 @@ class VelocityNet:
         self.theta = theta
         self.weights = _layer_views(arch, theta)
         self._act = arch.act()
-        # bytes per row of the widest augmented layer input
-        self._row_bytes = 8 * (max(arch.layer_dims[:-1]) + 1)
+        # bytes per sample of the widest augmented layer input
+        self._sample_bytes = 8 * (max(arch.layer_dims[:-1]) + 1)
 
     def __reduce__(self):
         return VelocityNet, (self.arch, self.theta)
@@ -237,57 +239,62 @@ class VelocityNet:
     # -- forward pass and gradient --------------------------------------------
 
     def _forward(self, x: np.ndarray, t: np.ndarray, keep: bool):
-        """Output; with keep, also the augmented input of every layer and the
-        pre-activation of every activated layer, for the gradient.
+        """Output as an (..., n, d) view; with keep, also the augmented input
+        of every layer and the pre-activation of every activated layer,
+        feature-major, for the gradient.
 
         Without keep the pass runs in blocks of at most FORWARD_BLOCK_BYTES
-        (see there); every output row goes through the same operations as in
-        one pass over the whole input, so the bits do not depend on the
+        (see there); every output sample goes through the same operations as
+        in one pass over the whole input, so the bits do not depend on the
         blocks."""
         lead = x.shape[:-2] or self.theta.shape[:-1]   # () or (members,)
         n = x.shape[-2]
-        if keep or math.prod(lead) * n * self._row_bytes <= FORWARD_BLOCK_BYTES:
-            return self._layers(x, t, self.weights, keep)
-        out = np.empty(lead + (n, self.arch.dim))
+        if keep or math.prod(lead) * n * self._sample_bytes <= FORWARD_BLOCK_BYTES:
+            out, augs, pres = self._layers(x, t, self.weights, keep)
+            return out.swapaxes(-1, -2), augs, pres
+        out = np.empty(lead + (self.arch.dim, n))
         for ms, rows in self._blocks(math.prod(lead), n):
             weights = (self.weights if self.theta.ndim == 1
                        else [w[ms] for w in self.weights])
             at = (ms, rows) if x.ndim == 3 else rows
-            out[(ms, rows) if lead else rows] = \
+            out[(ms, ..., rows) if lead else (..., rows)] = \
                 self._layers(x[at], t[at], weights, keep=False)[0]
-        return out, [], []
+        return out.swapaxes(-1, -2), [], []
 
     def _blocks(self, members: int, n: int):
         """(member slice, row slice) of every block of a pass without keep."""
         # the largest multiple of FORWARD_BLOCK_ROWS that still fits the
         # budget with a tail of FORWARD_BLOCK_ROWS - 1 rows joined to it
-        fit = FORWARD_BLOCK_BYTES // self._row_bytes - (FORWARD_BLOCK_ROWS - 1)
+        fit = FORWARD_BLOCK_BYTES // self._sample_bytes - (FORWARD_BLOCK_ROWS - 1)
         size = FORWARD_BLOCK_ROWS * max(1, fit // FORWARD_BLOCK_ROWS)
         starts = list(range(0, max(1, n - FORWARD_BLOCK_ROWS + 1), size))
         rows = [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
         return [(slice(i, i + 1), r) for i in range(members) for r in rows]
 
     def _layers(self, x: np.ndarray, t: np.ndarray, weights, keep: bool):
-        """The layer loop of `_forward` over the given weights.
+        """The layer loop of `_forward` over the given weights, feature-major:
+        the output is (..., d, n).
 
-        Each layer's augmented input [a, b] is one buffer with the bias
-        column set once: x and t go straight into the first, and each
-        activation is written into the next one's [..., :-1] view."""
+        Each layer's augmented input [a; b] is one (..., in + 1, n) buffer
+        with the bias row set once: x and t go straight into the first, and
+        each activation is written into the next one's [..., :-1, :] block,
+        which is contiguous per member."""
         b = self.arch.act_bound
-        aug = np.empty(x.shape[:-1] + (x.shape[-1] + 2,))
-        aug[..., :-2] = x
-        aug[..., -2] = t
-        aug[..., -1] = b
+        d = x.shape[-1]
+        aug = np.empty(x.shape[:-2] + (d + 2, x.shape[-2]))
+        aug[..., :d, :] = x.swapaxes(-1, -2)
+        aug[..., d, :] = t
+        aug[..., -1, :] = b
         augs, pres = [], []
         for w in weights[:-1]:
-            z = aug @ w.swapaxes(-1, -2)
+            z = w @ aug
             if keep:
                 augs.append(aug)
                 pres.append(z)
-            aug = np.empty(z.shape[:-1] + (z.shape[-1] + 1,))
-            aug[..., -1] = b
-            self._act.value(z, out=aug[..., :-1])
-        out = aug @ weights[-1].swapaxes(-1, -2)
+            aug = np.empty(z.shape[:-2] + (z.shape[-2] + 1, z.shape[-1]))
+            aug[..., -1, :] = b
+            self._act.value(z, out=aug[..., :-1, :])
+        out = weights[-1] @ aug
         if keep:
             augs.append(aug)
         return out, augs, pres
@@ -340,12 +347,12 @@ class VelocityNet:
         loss = loss if loss.ndim else float(loss)
         grad = np.empty(res.shape[:-2] + (self.param_count,))
         grads = _layer_views(self.arch, grad)
-        g = 2.0 * res * wts[..., None]
+        g = 2.0 * res.swapaxes(-1, -2) * wts[..., None, :]   # (..., d, n)
         for k in range(len(self.weights) - 1, -1, -1):
-            np.matmul(g.swapaxes(-1, -2), augs[k], out=grads[k])
+            np.matmul(g, augs[k].swapaxes(-1, -2), out=grads[k])
             if k > 0:
-                da = g @ self.weights[k][..., :-1]
-                g = da * self._act.deriv(pres[k - 1], augs[k][..., :-1])
+                da = self.weights[k][..., :-1].swapaxes(-1, -2) @ g
+                g = da * self._act.deriv(pres[k - 1], augs[k][..., :-1, :])
         return loss, grad
 
 

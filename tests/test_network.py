@@ -64,17 +64,17 @@ def test_activation_derivs_match_finite_diff():
 @pytest.mark.parametrize("name,bound", [
     ("tanh", 1.0), ("sigmoid", 1.0), ("softplus_clamped", 1.5)])
 def test_activation_out_matches_allocating_path(name, bound):
-    # the forward pass writes each activation into the [..., :-1] view of
-    # the next layer's augmented buffer; that strided path must give the
-    # bits of the allocating one, clamp included
+    # the forward pass writes each activation into the [..., :-1, :] block
+    # of the next layer's augmented buffer; that path must give the bits of
+    # the allocating one, clamp included
     act = make_activation(name, bound)
     rng = np.random.default_rng(5)
-    for shape in [(7,), (33, 8), (3, 65, 5)]:
+    for shape in [(1, 7), (8, 33), (3, 5, 65)]:
         z = rng.standard_normal(shape) * 6.0
-        aug = np.full(shape[:-1] + (shape[-1] + 1,), -7.0)
-        act.value(z, out=aug[..., :-1])
-        assert aug[..., :-1].tobytes() == act.value(z).tobytes()
-        assert (aug[..., -1] == -7.0).all()
+        aug = np.full(shape[:-2] + (shape[-2] + 1, shape[-1]), -7.0)
+        act.value(z, out=aug[..., :-1, :])
+        assert aug[..., :-1, :].tobytes() == act.value(z).tobytes()
+        assert (aug[..., -1, :] == -7.0).all()
 
 
 def test_activation_lipschitz_constants():
@@ -485,6 +485,99 @@ def test_residual_is_the_call_minus_the_displacement():
     res = stack.residual(batch)
     assert res.shape == (2, 16, 2)
     assert res.tobytes() == (stack(batch.xt, batch.t) - batch.disp).tobytes()
+
+
+# -- a reference kernel that does not share the activation layout --------------------
+
+
+def _reference_forward(arch, theta, x, t):
+    """One net, layer by layer on (n, features) arrays: a @ W[:, :-1]^T +
+    b W[:, -1]. Returns the output, every layer's input and every
+    activated layer's pre-activation."""
+    weights = VelocityNet(arch, theta).weights
+    act, b = arch.act(), arch.act_bound
+    a = np.column_stack([x, t])
+    inputs, pres = [], []
+    for w in weights[:-1]:
+        inputs.append(a)
+        pres.append(a @ w[:, :-1].T + b * w[:, -1])
+        a = act.value(pres[-1])
+    inputs.append(a)
+    w = weights[-1]
+    return a @ w[:, :-1].T + b * w[:, -1], inputs, pres
+
+
+def _reference_loss_and_grad(arch, theta, t, xt, disp, wts):
+    """Loss and flat gradient of (1/n) sum_i w_i ||v(xt_i, t_i) - disp_i||^2
+    for one net, backward layer by layer in the same form."""
+    weights = VelocityNet(arch, theta).weights
+    act, b = arch.act(), arch.act_bound
+    out, inputs, pres = _reference_forward(arch, theta, xt, t)
+    n = len(t)
+    res = out - disp
+    loss = np.sum(wts * np.sum(res * res, axis=1)) / n
+    g = 2.0 * res * wts[:, None] / n
+    grads = []
+    for k in range(len(weights) - 1, -1, -1):
+        grads.append(np.column_stack([g.T @ inputs[k], b * g.sum(axis=0)]))
+        if k > 0:
+            g = (g @ weights[k][:, :-1]) * act.deriv(pres[k - 1], inputs[k])
+    return loss, np.concatenate([gk.ravel() for gk in reversed(grads)])
+
+
+def _assert_close(actual, expected):
+    # the kernel sums in another order; a sum that cancels keeps the
+    # roundoff of its largest terms, hence the floor at the array's scale
+    expected = np.asarray(expected)
+    np.testing.assert_allclose(actual, expected, rtol=1e-12,
+                               atol=1e-13 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("mode", ["solo", "stack-shared", "stack-stacked"])
+@pytest.mark.parametrize("hidden", [(5,), (4, 3)], ids=["depth2", "depth3"])
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid", "softplus_clamped"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kernel_matches_the_per_layer_reference(dim, activation, hidden, mode):
+    # every member and every feature gets its own values, so a swapped
+    # member, feature or sample axis in the kernel cannot pass
+    K, n = 3, 37
+    b = 1.5 if activation == "softplus_clamped" else 1.0
+    arch = _arch(dim=dim, hidden=hidden, activation=activation, V=3.0, b=b)
+    nets = [VelocityNet.init(arch, RngStream(70 + dim, i)) for i in range(K)]
+    for i, net in enumerate(nets):   # nonzero biases, so the bias channel counts
+        net.theta += RngStream(71 + dim, i).gen.uniform(-0.3, 0.3, net.param_count)
+        net.project_constraints()
+    net = nets[0] if mode == "solo" else VelocityNet.stack(nets)
+    batches = [_batch(dim, n, seed=72 + i) for i in range(K)]
+    batch = CoupledBatch.stack(batches) if mode == "stack-stacked" else batches[0]
+    members = range(1) if mode == "solo" else range(K)
+    own = [batches[i] if mode == "stack-stacked" else batches[0] for i in members]
+    signs = RngStream(73).gen.integers(0, 2, size=(K, n)) * 2.0 - 1.0
+    weightings = [None, signs[0]] + ([signs] if mode != "solo" else [])
+
+    def pick(values, i):
+        return values if mode == "solo" else values[i]
+
+    if mode != "stack-stacked":
+        call = net(batch.xt, batch.t)
+        for i in members:
+            ref = _reference_forward(arch, nets[i].theta, own[i].xt, own[i].t)[0]
+            _assert_close(pick(call, i), ref)
+    residual, loss = net.residual(batch), net.loss(batch)
+    for i in members:
+        ref = _reference_forward(arch, nets[i].theta, own[i].xt, own[i].t)[0]
+        _assert_close(pick(residual, i), ref - own[i].disp)
+        ref_loss = _reference_loss_and_grad(arch, nets[i].theta, own[i].t,
+                                            own[i].xt, own[i].disp, np.ones(n))[0]
+        _assert_close(pick(loss, i), ref_loss)
+    for wts in weightings:
+        losses, grads = net.loss_and_grad(batch, sample_weights=wts)
+        for i in members:
+            w = np.ones(n) if wts is None else (wts[i] if wts.ndim == 2 else wts)
+            ref_loss, ref_grad = _reference_loss_and_grad(
+                arch, nets[i].theta, own[i].t, own[i].xt, own[i].disp, w)
+            _assert_close(pick(losses, i), ref_loss)
+            _assert_close(pick(grads, i), ref_grad)
 
 
 # -- blocked forward pass ------------------------------------------------------------
