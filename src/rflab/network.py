@@ -15,6 +15,7 @@ checked against central finite differences in the test suite.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -117,10 +118,15 @@ class NetArchitecture:
     def layer_dims(self) -> list[int]:
         return [self.dim + 1, *self.hidden, self.dim]
 
-    @property
-    def param_count(self) -> int:
+    @functools.cached_property
+    def weight_shapes(self) -> tuple[tuple[int, int], ...]:
+        """(out_k, in_k + 1) of every layer's augmented weights."""
         dims = self.layer_dims
-        return sum(dims[k + 1] * (dims[k] + 1) for k in range(len(dims) - 1))
+        return tuple((out, fan_in + 1) for fan_in, out in zip(dims, dims[1:]))
+
+    @functools.cached_property
+    def param_count(self) -> int:
+        return sum(rows * cols for rows, cols in self.weight_shapes)
 
     def act(self) -> Activation:
         return make_activation(self.activation, self.act_bound)
@@ -130,15 +136,28 @@ def _layer_views(arch: NetArchitecture, flat: np.ndarray) -> list[np.ndarray]:
     """Row-major (..., out_k, in_k + 1) views, layer by layer, into a buffer
     of shape (..., P): one net, or a stack of nets along the leading axis.
     The parameter layout is known here and nowhere else."""
-    dims = arch.layer_dims
     lead = flat.shape[:-1]
     views, pos = [], 0
-    for k in range(len(dims) - 1):
-        shape = (dims[k + 1], dims[k] + 1)
+    for shape in arch.weight_shapes:
         size = shape[0] * shape[1]
         views.append(flat[..., pos:pos + size].reshape(lead + shape))
         pos += size
     return views
+
+
+@dataclasses.dataclass
+class LaidBatch:
+    """A batch in the kernel's layout: the first layer's input [xt; t; b],
+    feature-major (..., d + 2, n), and disp (..., n, d); a slice takes rows."""
+
+    aug: np.ndarray
+    disp: np.ndarray
+
+    def __len__(self) -> int:
+        return self.aug.shape[-1]
+
+    def __getitem__(self, rows: slice) -> "LaidBatch":
+        return LaidBatch(self.aug[..., rows], self.disp[..., rows, :])
 
 
 class VelocityNet:
@@ -238,78 +257,98 @@ class VelocityNet:
 
     # -- forward pass and gradient --------------------------------------------
 
-    def _forward(self, x: np.ndarray, t: np.ndarray, keep: bool):
-        """Output as an (..., n, d) view; with keep, also the augmented input
-        of every layer and the pre-activation of every activated layer,
-        feature-major, for the gradient.
+    def lay_out(self, batch: CoupledBatch, into: LaidBatch | None = None) -> LaidBatch:
+        """batch in the kernel's layout: written into `into` (same shape) when
+        given, else into a new first-layer buffer that shares batch.disp."""
+        d = self.arch.dim
+        if into is None:
+            into = LaidBatch(self._buffers([d + 1], batch.t.shape[:-1], len(batch))[0],
+                             batch.disp)
+        else:
+            into.disp[...] = batch.disp
+        into.aug[..., :d, :] = batch.xt.swapaxes(-1, -2)
+        into.aug[..., d, :] = batch.t
+        return into
 
-        Without keep the pass runs in blocks of at most FORWARD_BLOCK_BYTES
-        (see there); every output sample goes through the same operations as
-        in one pass over the whole input, so the bits do not depend on the
-        blocks."""
+    def _forward(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Output as an (..., n, d) view of a feature-major buffer."""
         lead = x.shape[:-2] or self.theta.shape[:-1]   # () or (members,)
-        n = x.shape[-2]
-        if keep or math.prod(lead) * n * self._sample_bytes <= FORWARD_BLOCK_BYTES:
-            out, augs, pres = self._layers(x, t, self.weights, keep)
-            return out.swapaxes(-1, -2), augs, pres
-        out = np.empty(lead + (self.arch.dim, n))
-        for ms, rows in self._blocks(math.prod(lead), n):
-            weights = (self.weights if self.theta.ndim == 1
-                       else [w[ms] for w in self.weights])
-            at = (ms, rows) if x.ndim == 3 else rows
-            out[(ms, ..., rows) if lead else (..., rows)] = \
-                self._layers(x[at], t[at], weights, keep=False)[0]
-        return out.swapaxes(-1, -2), [], []
+        out = np.empty(lead + (self.arch.dim, x.shape[-2]))
+        return self._pass(x.swapaxes(-1, -2), t, out, {}).swapaxes(-1, -2)
 
-    def _blocks(self, members: int, n: int):
-        """(member slice, row slice) of every block of a pass without keep."""
+    def _pass(self, xs: np.ndarray, t: np.ndarray, out: np.ndarray,
+              bufs: dict) -> np.ndarray:
+        """The net at feature-major points xs (..., d, n) and times t (a
+        scalar or (..., n)) into out (..., d, n), in blocks (FORWARD_BLOCK_BYTES);
+        bufs keeps the layer buffers of each block shape across calls."""
+        d = xs.shape[-2]
+        for ms, rows in self._blocks(out.shape[:-2], out.shape[-1]):
+            at = (*ms, ..., rows) if xs.ndim == out.ndim else (..., rows)
+            x, o = xs[at], out[(*ms, ..., rows)]
+            key = (x.shape, o.shape)
+            if key not in bufs:
+                bufs[key] = (self._buffers([d + 1], x.shape[:-2], o.shape[-1])
+                             + self._buffers(self.arch.hidden, o.shape[:-2], o.shape[-1]))
+            first = bufs[key][0]
+            first[..., :d, :] = x
+            first[..., d, :] = t[at] if np.ndim(t) else t
+            weights = (self.weights if self.theta.ndim == 1 or not ms
+                       else [w[ms] for w in self.weights])
+            self._layers(bufs[key] + [o], weights)
+        return out
+
+    def _buffers(self, widths, lead: tuple, n: int) -> list[np.ndarray]:
+        """Augmented layer inputs (..., width + 1, n), bias rows set."""
+        bufs = [np.empty(lead + (w + 1, n)) for w in widths]
+        for buf in bufs:
+            buf[..., -1, :] = self.arch.act_bound
+        return bufs
+
+    def _blocks(self, lead: tuple, n: int):
+        """(member index, row slice) of every block of a pass whose output
+        has leading axes lead: the whole pass when it fits the budget."""
+        if math.prod(lead) * n * self._sample_bytes <= FORWARD_BLOCK_BYTES:
+            return [((), slice(None))]
         # the largest multiple of FORWARD_BLOCK_ROWS that still fits the
         # budget with a tail of FORWARD_BLOCK_ROWS - 1 rows joined to it
         fit = FORWARD_BLOCK_BYTES // self._sample_bytes - (FORWARD_BLOCK_ROWS - 1)
         size = FORWARD_BLOCK_ROWS * max(1, fit // FORWARD_BLOCK_ROWS)
         starts = list(range(0, max(1, n - FORWARD_BLOCK_ROWS + 1), size))
         rows = [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
-        return [(slice(i, i + 1), r) for i in range(members) for r in rows]
+        members = [(slice(i, i + 1),) for i in range(lead[0])] if lead else [()]
+        return [(ms, r) for ms in members for r in rows]
 
-    def _layers(self, x: np.ndarray, t: np.ndarray, weights, keep: bool):
-        """The layer loop of `_forward` over the given weights, feature-major:
-        the output is (..., d, n).
-
-        Each layer's augmented input [a; b] is one (..., in + 1, n) buffer
-        with the bias row set once: x and t go straight into the first, and
-        each activation is written into the next one's [..., :-1, :] block,
-        which is contiguous per member."""
-        b = self.arch.act_bound
-        d = x.shape[-1]
-        aug = np.empty(x.shape[:-2] + (d + 2, x.shape[-2]))
-        aug[..., :d, :] = x.swapaxes(-1, -2)
-        aug[..., d, :] = t
-        aug[..., -1, :] = b
-        augs, pres = [], []
-        for w in weights[:-1]:
-            z = w @ aug
-            if keep:
-                augs.append(aug)
+    def _layers(self, bufs: list[np.ndarray], weights,
+                pres: list | None = None) -> np.ndarray:
+        """The layer loop through bufs: every layer's input (`_buffers`), the
+        first filled with [x; t; b], then the returned output (..., d, n). An
+        activation fills the next input's [..., :-1, :] block, contiguous per
+        member, where its pre-activation is computed unless pres keeps it."""
+        for w, aug, nxt in zip(weights, bufs, bufs[1:-1]):
+            a = nxt[..., :-1, :]
+            z = np.matmul(w, aug, out=None if pres is not None else a)
+            if pres is not None:
                 pres.append(z)
-            aug = np.empty(z.shape[:-2] + (z.shape[-2] + 1, z.shape[-1]))
-            aug[..., -1, :] = b
-            self._act.value(z, out=aug[..., :-1, :])
-        out = weights[-1] @ aug
-        if keep:
-            augs.append(aug)
-        return out, augs, pres
+            self._act.value(z, out=a)
+        return np.matmul(weights[-1], bufs[-2], out=bufs[-1])
+
+    def flow(self, n: int):
+        """Euler's velocity of one net on n points: v(z, t) of a feature-major
+        state (d, n) and a scalar t, into buffers allocated once."""
+        v, bufs = np.empty((self.arch.dim, n)), {}
+        return lambda z, t: self._pass(z, t, v, bufs)
 
     def __call__(self, x, t):
         """v_theta(x, t). x: (d,) or (n, d); t: scalar in [0,1] or (n,).
         A stack evaluates every member on the same points: (K, n, d)."""
         xb, tb, single = as_field_input(x, t)
-        out, _, _ = self._forward(xb, tb, keep=False)
+        out = self._forward(xb, tb)
         return out[..., 0, :] if single else out
 
     def residual(self, batch: CoupledBatch) -> np.ndarray:
         """v(xt, t) - disp on a batch, whose arrays are taken as built: (n, d),
         or (K, n, d) for a stack or a stacked batch."""
-        out, _, _ = self._forward(batch.xt, batch.t, keep=False)
+        out = self._forward(batch.xt, batch.t)
         out -= batch.disp
         return out
 
@@ -320,27 +359,33 @@ class VelocityNet:
         loss = np.mean(np.sum(res * res, axis=-1), axis=-1)
         return loss if loss.ndim else float(loss)
 
-    def loss_and_grad(self, batch: CoupledBatch,
+    def loss_and_grad(self, batch: CoupledBatch | LaidBatch,
                       sample_weights: np.ndarray | None = None):
         """Loss and flat gradient of (1/n) sum_i w_i ||v(xt_i,t_i) - disp_i||^2.
 
-        sample_weights defaults to all-ones (the plain batch mean); signed
-        weights are allowed (the Rademacher estimator uses +-1). A stack
-        gives (K,) losses and (K, P) gradients; it may take (K, n) weights,
-        one row per member.
+        The batch may come laid out (`lay_out`). sample_weights defaults to
+        all-ones (the plain batch mean); signed weights are allowed (the
+        Rademacher estimator uses +-1). A stack gives (K,) losses and (K, P)
+        gradients; it may take (K, n) weights, one row per member.
         """
         n = len(batch)
         if n == 0:
             raise ValueError("empty batch")
-        out, augs, pres = self._forward(batch.xt, batch.t, keep=True)
-        res = out - batch.disp
+        if isinstance(batch, CoupledBatch):
+            batch = self.lay_out(batch)
+        lead = batch.aug.shape[:-2] or self.theta.shape[:-1]
+        augs = [batch.aug, *self._buffers(self.arch.hidden, lead, n)]
+        pres: list[np.ndarray] = []
+        out = self._layers(augs + [np.empty(lead + (self.arch.dim, n))], self.weights, pres)
+        res = out.swapaxes(-1, -2) - batch.disp
         if sample_weights is None:
             wts = np.full(n, 1.0 / n)
         else:
             wts = np.asarray(sample_weights, dtype=np.float64) / n
-            if wts.shape not in ((n,), res.shape[:-1]):
-                raise ValueError(f"sample_weights has shape {wts.shape}, "
-                                 f"expected {(n,)} or {res.shape[:-1]}")
+            shapes = sorted({(n,), res.shape[:-1]}, key=len)
+            if wts.shape not in shapes:
+                raise ValueError(f"sample_weights has shape {wts.shape}, expected "
+                                 + " or ".join(map(str, shapes)))
         # a (1, n) @ (n, 1) product per member is the same dot product as
         # np.dot on one net's vectors
         loss = ((res * res).sum(axis=-1)[..., None, :] @ wts[..., None])[..., 0, 0]

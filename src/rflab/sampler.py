@@ -42,7 +42,8 @@ def euler_integrate(field, z0, steps: int, record: bool = False):
     Z_{s+1} = Z_s + (1/S) field(Z_s, s/S).
 
     Returns (z1, trajectory) with the trajectory recorded only on request.
-    Aborts with a diagnostic if the state leaves the finite range.
+    Aborts with a diagnostic if the state leaves the finite range. The state
+    is (d, n), updated in place; a VelocityNet runs through its flow().
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -51,15 +52,17 @@ def euler_integrate(field, z0, steps: int, record: bool = False):
     states = np.empty((steps + 1, *z.shape)) if record else None
     if record:
         states[0] = z
+    velocity = field.flow(len(z)) if isinstance(field, VelocityNet) else \
+        lambda zt, t: field(np.ascontiguousarray(zt.T), np.full(zt.shape[1], t)).T
+    z = z.T.copy()
     for s in range(steps):
-        v = field(z, np.full(z.shape[0], times[s]))
-        z = z + (times[s + 1] - times[s]) * v
+        z += (times[s + 1] - times[s]) * velocity(z, times[s])
         if not np.isfinite(z).all():
             raise FloatingPointError(
                 f"integration diverged to a non-finite state at step {s + 1}/{steps}")
         if record:
-            states[s + 1] = z
-    z1 = z[0] if single else z
+            states[s + 1] = z.T
+    z1 = z[:, 0] if single else np.ascontiguousarray(z.T)
     traj = FlowTrajectory(times, states) if record else None
     return z1, traj
 

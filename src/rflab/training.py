@@ -115,19 +115,18 @@ def train(net: VelocityNet, data: CoupledBatch, cfg: TrainConfig,
         errors[i] = err
         net.theta[i] = 0.0
 
-    def permutations():
-        return np.stack([s.gen.permutation(n) for s in shuffles]).reshape(lead + (n,))
+    def epoch(laid=None):
+        # one gather per epoch, into the kernel's layout and the first buffer
+        order = np.stack([s.gen.permutation(n) for s in shuffles]).reshape(lead + (n,))
+        return net.lay_out(data.take(order), laid)
 
     rec_step, rec_loss, rec_gnorm, rec_eta, rec_row = [], [], [], [], []
-    order = permutations()
-    pos = 0
+    laid, pos = epoch(), 0
     for k in range(cfg.steps):
         if pos + cfg.batch_size > n:
-            order = permutations()
-            pos = 0
-        idx = order[..., pos:pos + cfg.batch_size]
+            laid, pos = epoch(laid), 0
+        _, g = net.loss_and_grad(laid[pos:pos + cfg.batch_size])
         pos += cfg.batch_size
-        _, g = net.loss_and_grad(data.take(idx))
         if errors:
             g[list(errors)] = 0.0
         eta = step_size(cfg, k)

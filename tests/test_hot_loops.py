@@ -1,0 +1,61 @@
+"""Call counts of the SGD and Euler hot loops: the layout work happens once
+per epoch and once per integration, not once per step."""
+
+import numpy as np
+
+import rflab.linalg_rng
+import rflab.network
+import rflab.sampler
+from rflab.distributions import CoupledBatch, DistributionSpec, draw_coupled
+from rflab.linalg_rng import RngStream
+from rflab.network import NetArchitecture, VelocityNet
+from rflab.sampler import euler_integrate
+from rflab.training import TrainConfig, train
+
+_ARCH = NetArchitecture(dim=1, hidden=(6,), l1_budget=4.0)
+
+
+def _data(n, seed):
+    pi0 = DistributionSpec("gaussian", 1, mean=np.zeros(1), std=1.0)
+    pi1 = DistributionSpec("gaussian", 1, mean=np.full(1, 2.0), std=0.5)
+    return draw_coupled(RngStream(seed), pi0, pi1, n)
+
+
+def test_train_gathers_from_its_data_once_per_epoch(monkeypatch):
+    gathers = []
+    take = CoupledBatch.take
+
+    def counting_take(self, idx):
+        gathers.append(np.shape(idx))
+        return take(self, idx)
+
+    monkeypatch.setattr(CoupledBatch, "take", counting_take)
+    # 70 rows in minibatches of 16: four steps per epoch, so 23 steps are
+    # six epochs, each gathered whole
+    cfg = TrainConfig(batch_size=16, steps=23, record_every=23)
+    train(VelocityNet.init(_ARCH, RngStream(1)), _data(70, seed=2), cfg, seed=3)
+    assert gathers == [(70,)] * 6
+    gathers.clear()
+    stack = VelocityNet.stack(VelocityNet.init(_ARCH, RngStream(1, i)) for i in range(3))
+    data = CoupledBatch.stack([_data(70, seed=2 + i) for i in range(3)])
+    train(stack, data, cfg, seed=(3, 4, 5))
+    assert gathers == [(3, 70)] * 6
+
+
+def test_euler_on_a_net_normalises_its_input_once(monkeypatch):
+    calls = []
+    normalise = rflab.linalg_rng.as_field_input
+
+    def counting(*args):
+        calls.append(len(args))
+        return normalise(*args)
+
+    for module in (rflab.sampler, rflab.network):
+        monkeypatch.setattr(module, "as_field_input", counting)
+    net = VelocityNet.init(_ARCH, RngStream(6))
+    z0 = RngStream(7).gen.standard_normal((50, 1))
+    euler_integrate(net, z0, 40)
+    assert len(calls) == 1
+    # a plain callable is still called, and its input normalised, per step
+    euler_integrate(lambda z, t: net(z, t), z0, 40)
+    assert len(calls) == 1 + 1 + 40

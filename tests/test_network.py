@@ -467,6 +467,18 @@ def test_stacked_sample_weights_match_members(arch):
         nets[0].loss_and_grad(batch, sample_weights=wts)
 
 
+def test_sample_weights_error_names_each_accepted_shape_once():
+    # a single net takes (n,) weights only; a stack takes (n,) or (K, n)
+    net = VelocityNet.init(_arch(dim=1, hidden=(4,)), RngStream(24))
+    batch = _batch(1, 5, seed=24)
+    with pytest.raises(ValueError, match=r"shape \(3, 5\), expected \(5,\)$"):
+        net.loss_and_grad(batch, sample_weights=np.ones((3, 5)))
+    stack = VelocityNet.stack([net, net])
+    with pytest.raises(ValueError,
+                       match=r"shape \(3, 5\), expected \(5,\) or \(2, 5\)$"):
+        stack.loss_and_grad(batch, sample_weights=np.ones((3, 5)))
+
+
 def test_loss_of_zero_net_is_mean_square_displacement():
     net = VelocityNet.zeros(_arch(dim=2, hidden=(3,)))
     batch = _batch(2, 32, seed=4)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rflab.network
 from rflab.distributions import DistributionSpec
 from rflab.linalg_rng import RngStream
 from rflab.network import NetArchitecture, VelocityNet
@@ -88,6 +89,30 @@ def test_one_step_equals_single_step_integration():
     single, _ = euler_integrate(field, np.array([0.5]), 1)
     assert single.shape == (1,)
     assert np.array_equal(single, via_euler[0])
+
+
+@pytest.mark.parametrize("dim, n", [(1, 300), (2, 300), (1, None), (2, None),
+                                    (1, 6000)],
+                         ids=["1d", "2d", "1d-point", "2d-point", "1d-blocked"])
+def test_euler_on_a_net_equals_euler_on_its_call(dim, n):
+    # the net's own flow and a plain callable around the net give the same
+    # bits: a single point, and a pass over FORWARD_BLOCK_BYTES
+    arch = NetArchitecture(dim=dim, hidden=(24,), l1_budget=4.0)
+    net = VelocityNet.init(arch, RngStream(30, dim))
+    net.theta += RngStream(31, dim).gen.uniform(-0.3, 0.3, net.param_count)
+    net.project_constraints()
+    z0 = RngStream(32, dim).gen.standard_normal((n or 1, dim))
+    if n is None:
+        z0 = z0[0]
+    elif n == 6000:
+        assert n * 8 * (24 + 1) > rflab.network.FORWARD_BLOCK_BYTES
+    z1, traj = euler_integrate(net, z0, 9, record=True)
+    z1_call, traj_call = euler_integrate(lambda z, t: net(z, t), z0, 9, record=True)
+    assert z1.shape == z1_call.shape == z0.shape
+    assert z1.tobytes() == z1_call.tobytes()
+    assert traj.states.tobytes() == traj_call.states.tobytes()
+    assert (traj.times == traj_call.times).all()
+    assert (traj.states[0] == np.atleast_2d(z0)).all()
 
 
 # -- straightness ---------------------------------------------------------------------

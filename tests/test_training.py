@@ -6,7 +6,8 @@ from oracles_support import (QuadraticProblem, closed_envelope_constant,
 from rflab.distributions import CoupledBatch, DistributionSpec, draw_coupled
 from rflab.linalg_rng import RngStream
 from rflab.network import NetArchitecture, VelocityNet
-from rflab.training import DivergenceError, TrainConfig, step_size, train
+from rflab.training import (_SHUFFLE_TAG, DivergenceError, TrainConfig,
+                            step_size, train)
 
 
 def _arch(V=4.0):
@@ -174,6 +175,78 @@ def test_lockstep_train_matches_solo_runs(scenario):
         assert out[i].final_loss == solo[i].final_loss
     if scenario == "binding":
         assert all(tr.max_row_l1[-1] == pytest.approx(1.5) for tr in out)
+
+
+def _reference_train(net, data, cfg, seeds):
+    """Projected SGD written out step by step, with every minibatch gathered
+    from the data on its own: the loop `train` must reproduce bit for bit.
+    Returns the initial losses and, per record step, (step, full-data losses,
+    gradient norms, eta, largest row l1 norm per member)."""
+    n, B, K = len(data), cfg.batch_size, len(seeds)
+    lead = net.theta.shape[:-1]
+    shuffles = [RngStream(seed, _SHUFFLE_TAG) for seed in seeds]
+
+    def permutation():
+        return np.stack([s.gen.permutation(n) for s in shuffles]).reshape(lead + (n,))
+
+    loss0 = np.reshape(net.loss(data), -1)
+    order, pos, records = permutation(), 0, []
+    for k in range(cfg.steps):
+        if pos + B > n:   # the tail of an epoch that B does not fill is dropped
+            order, pos = permutation(), 0
+        _, g = net.loss_and_grad(data.take(order[..., pos:pos + B]))
+        pos += B
+        eta = step_size(cfg, k)
+        net.theta -= eta * g
+        assert np.isfinite(net.theta).all()
+        net.project_constraints()
+        if k % cfg.record_every == 0 or k == cfg.steps - 1:
+            rows = np.max([np.abs(w).sum(-1).max(-1) for w in net.weights], axis=0)
+            records.append((k, np.reshape(net.loss(data), -1),
+                            [float(np.linalg.norm(gi)) for gi in g.reshape(K, -1)],
+                            eta, np.reshape(rows, -1)))
+    return loss0, records
+
+
+def _data_in(dim, n, seed):
+    pi0 = DistributionSpec("gaussian", dim, mean=np.zeros(dim), std=1.0)
+    pi1 = DistributionSpec("gaussian", dim, mean=np.full(dim, 2.0), std=0.5)
+    return draw_coupled(RngStream(seed), pi0, pi1, n)
+
+
+@pytest.mark.parametrize("n", [64, 70])
+@pytest.mark.parametrize("binding", [False, True], ids=["plain", "binding"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["solo", "stack"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_train_matches_the_step_by_step_reference(dim, stacked, binding, n):
+    # minibatches of 16: four steps per epoch on 64 rows, and on 70 with 6
+    # rows dropped, so 23 steps cross five reshuffles
+    V = 1.5 if binding else 4.0
+    overrides = {"schedule": "constant", "eta": 0.5} if binding else {}
+    cfg = TrainConfig(batch_size=16, steps=23, record_every=5, **overrides)
+    arch = NetArchitecture(dim=dim, hidden=(6,), l1_budget=V)
+    K = 3 if stacked else 1
+    nets = [VelocityNet.init(arch, RngStream(80 + dim, i)) for i in range(K)]
+    datas = [_data_in(dim, n, seed=90 + i) for i in range(K)]
+    seeds = tuple(range(11, 11 + K))
+    if stacked:
+        net, data, seed = VelocityNet.stack(nets), CoupledBatch.stack(datas), seeds
+    else:
+        net, data, seed = nets[0], datas[0], seeds[0]
+    ref = net.copy()
+    loss0, records = _reference_train(ref, data, cfg, seeds)
+    traces = train(net, data, cfg, seed=seed)
+    traces = traces if stacked else [traces]
+    assert net.theta.tobytes() == ref.theta.tobytes()
+    for i, tr in enumerate(traces):
+        assert tr.step.tolist() == [r[0] for r in records] == [0, 5, 10, 15, 20, 22]
+        assert tr.loss.tobytes() == np.array([r[1][i] for r in records]).tobytes()
+        assert tr.grad_norm.tobytes() == np.array([r[2][i] for r in records]).tobytes()
+        assert tr.eta.tobytes() == np.array([r[3] for r in records]).tobytes()
+        assert tr.max_row_l1.tobytes() == np.array([r[4][i] for r in records]).tobytes()
+        assert tr.initial_loss == loss0[i] and tr.final_loss == records[-1][1][i]
+        if binding:   # the projection acted, so it is pinned too
+            assert tr.max_row_l1[-1] == pytest.approx(V)
 
 
 def test_train_rejects_a_mismatched_stack():
