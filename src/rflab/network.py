@@ -270,18 +270,15 @@ class VelocityNet:
         into.aug[..., d, :] = batch.t
         return into
 
-    def _forward(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Output as an (..., n, d) view of a feature-major buffer."""
-        lead = x.shape[:-2] or self.theta.shape[:-1]   # () or (members,)
-        out = np.empty(lead + (self.arch.dim, x.shape[-2]))
-        return self._pass(x.swapaxes(-1, -2), t, out, {}).swapaxes(-1, -2)
-
-    def _pass(self, xs: np.ndarray, t: np.ndarray, out: np.ndarray,
-              bufs: dict) -> np.ndarray:
+    def _pass(self, xs: np.ndarray, t, bufs: dict,
+              out: np.ndarray | None = None) -> np.ndarray:
         """The net at feature-major points xs (..., d, n) and times t (a
-        scalar or (..., n)) into out (..., d, n), in blocks (FORWARD_BLOCK_BYTES);
-        bufs keeps the layer buffers of each block shape across calls."""
+        scalar or (..., n)) into out (..., d, n), new unless given, in blocks
+        (FORWARD_BLOCK_BYTES); bufs keeps the layer buffers of each block
+        shape across calls."""
         d = xs.shape[-2]
+        if out is None:   # a stack on shared points gives (members, d, n)
+            out = np.empty((xs.shape[:-2] or self.theta.shape[:-1]) + xs.shape[-2:])
         for ms, rows in self._blocks(out.shape[:-2], out.shape[-1]):
             at = (*ms, ..., rows) if xs.ndim == out.ndim else (..., rows)
             x, o = xs[at], out[(*ms, ..., rows)]
@@ -294,7 +291,7 @@ class VelocityNet:
             first[..., d, :] = t[at] if np.ndim(t) else t
             weights = (self.weights if self.theta.ndim == 1 or not ms
                        else [w[ms] for w in self.weights])
-            self._layers(bufs[key] + [o], weights)
+            self._layers(bufs[key], weights, out=o)
         return out
 
     def _buffers(self, widths, lead: tuple, n: int) -> list[np.ndarray]:
@@ -318,37 +315,38 @@ class VelocityNet:
         members = [(slice(i, i + 1),) for i in range(lead[0])] if lead else [()]
         return [(ms, r) for ms in members for r in rows]
 
-    def _layers(self, bufs: list[np.ndarray], weights,
-                pres: list | None = None) -> np.ndarray:
-        """The layer loop through bufs: every layer's input (`_buffers`), the
-        first filled with [x; t; b], then the returned output (..., d, n). An
-        activation fills the next input's [..., :-1, :] block, contiguous per
-        member, where its pre-activation is computed unless pres keeps it."""
-        for w, aug, nxt in zip(weights, bufs, bufs[1:-1]):
+    def _layers(self, augs: list[np.ndarray], weights, pres: list | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """The layer loop through augs, every layer's input (`_buffers`), the
+        first filled with [x; t; b]; returns the output (..., d, n), written
+        into out when given. An activation fills the next input's [..., :-1, :]
+        block, contiguous per member, where its pre-activation is computed
+        unless pres keeps it."""
+        for w, aug, nxt in zip(weights, augs, augs[1:]):
             a = nxt[..., :-1, :]
             z = np.matmul(w, aug, out=None if pres is not None else a)
             if pres is not None:
                 pres.append(z)
             self._act.value(z, out=a)
-        return np.matmul(weights[-1], bufs[-2], out=bufs[-1])
+        return np.matmul(weights[-1], augs[-1], out=out)
 
     def flow(self, n: int):
         """Euler's velocity of one net on n points: v(z, t) of a feature-major
         state (d, n) and a scalar t, into buffers allocated once."""
         v, bufs = np.empty((self.arch.dim, n)), {}
-        return lambda z, t: self._pass(z, t, v, bufs)
+        return lambda z, t: self._pass(z, t, bufs, v)
 
     def __call__(self, x, t):
         """v_theta(x, t). x: (d,) or (n, d); t: scalar in [0,1] or (n,).
         A stack evaluates every member on the same points: (K, n, d)."""
         xb, tb, single = as_field_input(x, t)
-        out = self._forward(xb, tb)
+        out = self._pass(xb.T, tb, {}).swapaxes(-1, -2)
         return out[..., 0, :] if single else out
 
     def residual(self, batch: CoupledBatch) -> np.ndarray:
         """v(xt, t) - disp on a batch, whose arrays are taken as built: (n, d),
         or (K, n, d) for a stack or a stacked batch."""
-        out = self._forward(batch.xt, batch.t)
+        out = self._pass(batch.xt.swapaxes(-1, -2), batch.t, {}).swapaxes(-1, -2)
         out -= batch.disp
         return out
 
@@ -376,14 +374,14 @@ class VelocityNet:
         lead = batch.aug.shape[:-2] or self.theta.shape[:-1]
         augs = [batch.aug, *self._buffers(self.arch.hidden, lead, n)]
         pres: list[np.ndarray] = []
-        out = self._layers(augs + [np.empty(lead + (self.arch.dim, n))], self.weights, pres)
+        out = self._layers(augs, self.weights, pres)
         res = out.swapaxes(-1, -2) - batch.disp
         if sample_weights is None:
             wts = np.full(n, 1.0 / n)
         else:
             wts = np.asarray(sample_weights, dtype=np.float64) / n
-            shapes = sorted({(n,), res.shape[:-1]}, key=len)
-            if wts.shape not in shapes:
+            if wts.shape not in ((n,), res.shape[:-1]):
+                shapes = sorted({(n,), res.shape[:-1]}, key=len)
                 raise ValueError(f"sample_weights has shape {wts.shape}, expected "
                                  + " or ".join(map(str, shapes)))
         # a (1, n) @ (n, 1) product per member is the same dot product as
