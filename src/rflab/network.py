@@ -274,8 +274,8 @@ class VelocityNet:
               out: np.ndarray | None = None) -> np.ndarray:
         """The net at feature-major points xs (..., d, n) and times t (a
         scalar or (..., n)) into out (..., d, n), new unless given, in blocks
-        (FORWARD_BLOCK_BYTES); bufs keeps the layer buffers of each block
-        shape across calls."""
+        (FORWARD_BLOCK_BYTES) that change no bit; bufs keeps the layer buffers
+        of each block shape across calls."""
         d = xs.shape[-2]
         if out is None:   # a stack on shared points gives (members, d, n)
             out = np.empty((xs.shape[:-2] or self.theta.shape[:-1]) + xs.shape[-2:])
@@ -333,6 +333,8 @@ class VelocityNet:
     def flow(self, n: int):
         """Euler's velocity of one net on n points: v(z, t) of a feature-major
         state (d, n) and a scalar t, into buffers allocated once."""
+        if self.theta.ndim != 1:
+            raise ValueError("a flow needs a single net, not a stack")
         v, bufs = np.empty((self.arch.dim, n)), {}
         return lambda z, t: self._pass(z, t, bufs, v)
 

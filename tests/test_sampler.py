@@ -69,6 +69,10 @@ def test_euler_rejects_bad_inputs():
         euler_integrate(lambda z, t: z, np.array([[np.nan]]), 3)
     with pytest.raises(ValueError):
         euler_integrate(lambda z, t: z, np.zeros((2, 2, 2)), 3)
+    arch = NetArchitecture(dim=1, hidden=(4,))
+    stack = VelocityNet.stack(VelocityNet.init(arch, RngStream(1, i)) for i in range(3))
+    with pytest.raises(ValueError, match="single net"):
+        euler_integrate(stack, np.zeros((5, 1)), 1)
 
 
 def test_euler_raises_on_divergence():
