@@ -259,16 +259,10 @@ class RademacherReport:
     best_thetas: list
 
 
-def _per_sample_loss(net, batch) -> np.ndarray:
-    """Per-sample squared residual: (n,), or (K, n) for a stack."""
-    res = net.residual(batch)
-    return np.sum(res * res, axis=-1)
-
-
 def _localization_sq(net, ref_loss: np.ndarray, batch, l_ell: float):
     """L_ell^2 mean_i gap_i^2 per member; the mean over the last axis of a
     (K, n) array has the bits of the 1-D mean of each row."""
-    gap = _per_sample_loss(net, batch) - ref_loss
+    gap = net.sample_losses(batch) - ref_loss
     return l_ell ** 2 * np.mean(gap * gap, axis=-1)
 
 
@@ -330,7 +324,7 @@ def empirical_local_rademacher(sampler, net_ref, data, r: float,
         raise ValueError("n_signs and n_restarts must be >= 1")
     n = len(data)
     theta_ref = net_ref.get_theta()
-    ref_loss = _per_sample_loss(net_ref, data)
+    ref_loss = net_ref.sample_losses(data)
     sign_gen = rng.derive(1)
     signs = np.array([sign_gen.gen.integers(0, 2, size=n) * 2.0 - 1.0
                       for _ in range(n_signs)])
@@ -345,24 +339,20 @@ def empirical_local_rademacher(sampler, net_ref, data, r: float,
     net = VelocityNet(net_ref.arch, thetas)
     wts = np.repeat(signs, n_seeds, axis=0)
     _pull_to_ball(net, theta_ref, ref_loss, data, r, l_ell)
+    laid = net.lay_out(data)
     for _ in range(ascent_steps):
-        _, g = net.loss_and_grad(data, sample_weights=wts)
+        _, g = net.loss_and_grad(laid, sample_weights=wts)
         net.theta += step_size * g
         net.project_constraints()
         _pull_to_ball(net, theta_ref, ref_loss, data, r, l_ell)
-    vals = np.mean(wts * (_per_sample_loss(net, data) - ref_loss), axis=-1)
-    per_sign = np.empty(n_signs)
-    best_thetas = []
-    for s in range(n_signs):
-        best = 0.0  # the reference itself attains 0
-        best_theta = theta_ref.copy()
-        for k in range(s * n_seeds, (s + 1) * n_seeds):
-            if vals[k] > best:
-                best = float(vals[k])
-                best_theta = net.theta[k].copy()
-        per_sign[s] = best
-        best_thetas.append(best_theta)
-    return RademacherReport(float(per_sign.mean()), per_sign, best_thetas)
+    vals = np.mean(wts * (net.sample_losses(data) - ref_loss), axis=-1)
+    # per sign, the first restart of the largest positive value; a NaN never
+    # wins, and with no positive value the reference (value 0) stays
+    top = np.where(vals > 0, vals, 0.0).reshape(n_signs, n_seeds)
+    per_sign = top.max(axis=-1)
+    pick = np.arange(n_signs) * n_seeds + top.argmax(axis=-1)
+    best = np.where(per_sign[:, None] > 0, net.theta[pick], theta_ref)
+    return RademacherReport(float(per_sign.mean()), per_sign, list(best))
 
 
 # -- truncation budget ----------------------------------------------------------

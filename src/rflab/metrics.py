@@ -65,16 +65,18 @@ def w2_empirical(a, b) -> float:
     return w2_empirical_assignment(a, b)
 
 
-def excess_risk(net, theta_star_proxy, holdout: CoupledBatch) -> float:
+def excess_risk(net, theta_star_proxy, holdout: CoupledBatch):
     """Mean squared velocity gap between net and the proxy on held-out points.
 
     Both arguments are fields (VelocityNet or any callable(x, t) -> velocities);
-    with an oracle field as proxy this is the full L2 velocity error.
+    with an oracle field as proxy this is the full L2 velocity error. A float,
+    or a (K,) array, one value per member, when net is a stack.
     """
     if len(holdout) == 0:
         raise ValueError("empty holdout")
     gap = net(holdout.xt, holdout.t) - theta_star_proxy(holdout.xt, holdout.t)
-    return float(np.mean(np.sum(gap * gap, axis=1)))
+    risk = np.mean(np.sum(gap * gap, axis=-1), axis=-1)
+    return risk if risk.ndim else float(risk)
 
 
 @dataclasses.dataclass

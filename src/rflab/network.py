@@ -251,9 +251,15 @@ class VelocityNet:
             w[...] = l1_project_row(w.reshape(-1, w.shape[-1]), v).reshape(w.shape)
         return self
 
+    def row_l1(self):
+        """Largest augmented-row l1 norm of each member: a float, or a (K,)
+        array for a stack."""
+        rows = np.max([np.abs(w).sum(-1).max(-1) for w in self.weights], axis=0)
+        return rows if rows.ndim else float(rows)
+
     def max_row_l1(self) -> float:
         """Largest augmented-row l1 norm, over every member of a stack."""
-        return max(float(np.abs(w).sum(axis=-1).max()) for w in self.weights)
+        return float(np.max(self.row_l1()))
 
     # -- forward pass and gradient --------------------------------------------
 
@@ -352,11 +358,16 @@ class VelocityNet:
         out -= batch.disp
         return out
 
+    def sample_losses(self, batch: CoupledBatch) -> np.ndarray:
+        """Squared residual ||v(xt,t) - disp||^2 of every sample: (n,), or
+        (K, n) for a stack or a stacked batch."""
+        res = self.residual(batch)
+        return np.sum(res * res, axis=-1)
+
     def loss(self, batch: CoupledBatch):
         """Batch-mean squared residual (1/n) sum ||v(xt,t) - disp||^2: a float,
         or a (K,) array for a stack or a stacked batch."""
-        res = self.residual(batch)
-        loss = np.mean(np.sum(res * res, axis=-1), axis=-1)
+        loss = np.mean(self.sample_losses(batch), axis=-1)
         return loss if loss.ndim else float(loss)
 
     def loss_and_grad(self, batch: CoupledBatch | LaidBatch,
@@ -422,6 +433,8 @@ CHECKPOINT_FORMAT = "rflab-velnet-1"
 
 def save_checkpoint(net: VelocityNet, path, seed: int, step: int,
                     extra: dict | None = None) -> None:
+    if net.theta.ndim != 1:
+        raise ValueError("a checkpoint holds a single net, not a stack")
     header = {
         "format": CHECKPOINT_FORMAT,
         "arch": dataclasses.asdict(net.arch),

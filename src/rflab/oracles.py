@@ -51,18 +51,19 @@ def vstar_gaussian(pi0: DistributionSpec, pi1: DistributionSpec, x, t):
 
 
 def velocity_l2_error(net, pi0: DistributionSpec, pi1: DistributionSpec,
-                      n_mc: int, rng: RngStream) -> tuple[float, float]:
+                      n_mc: int, rng: RngStream):
     """Monte-Carlo estimate (with standard error) of the integrated squared
-    velocity error int_0^1 E||net(X_t, t) - v*(X_t, t)||^2 dt."""
+    velocity error int_0^1 E||net(X_t, t) - v*(X_t, t)||^2 dt: two floats, or
+    two (K,) arrays, one value per member, when net is a stack."""
     if n_mc < 2:
         raise ValueError("n_mc must be >= 2")
     _require_closed_form(pi0, pi1)   # before drawing: unequal dims cannot pair
     b = draw_coupled(rng, pi0, pi1, n_mc)
     gap = np.asarray(net(b.xt, b.t)) - vstar_gaussian(pi0, pi1, b.xt, b.t)
-    vals = np.sum(gap * gap, axis=1)
-    est = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(n_mc))
-    return est, stderr
+    vals = np.sum(gap * gap, axis=-1)
+    est = vals.mean(axis=-1)
+    stderr = vals.std(ddof=1, axis=-1) / math.sqrt(n_mc)
+    return (est, stderr) if est.ndim else (float(est), float(stderr))
 
 
 # -- two-hypothesis construction ----------------------------------------------

@@ -9,7 +9,6 @@ step so the derived network constants stay valid throughout training.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -120,7 +119,7 @@ def train(net: VelocityNet, data: CoupledBatch, cfg: TrainConfig,
         order = np.stack([s.gen.permutation(n) for s in shuffles]).reshape(lead + (n,))
         return net.lay_out(data.take(order), laid)
 
-    rec_step, rec_loss, rec_gnorm, rec_eta, rec_row = [], [], [], [], []
+    records = []   # (step, full-data losses, gradient norms, eta, row l1) per record
     laid, pos = epoch(), 0
     for k in range(cfg.steps):
         if pos + cfg.batch_size > n:
@@ -139,25 +138,18 @@ def train(net: VelocityNet, data: CoupledBatch, cfg: TrainConfig,
         net.project_constraints()
         if k % cfg.record_every == 0 or k == cfg.steps - 1:
             full = np.reshape(net.loss(data), -1)
-            rec_step.append(k)
-            rec_loss.append(full)
-            rec_gnorm.append([float(np.linalg.norm(gi)) for gi in g.reshape(K, -1)])
-            rec_eta.append(eta)
-            row_l1 = [np.abs(w).sum(-1).max(-1) for w in net.weights]  # layer x member
-            rec_row.append(np.reshape(np.max(row_l1, axis=0), -1))
-            for i in range(K):
-                if i not in errors and (not math.isfinite(full[i]) or full[i] > ceiling[i]):
-                    fail(i, DivergenceError(
-                        f"loss {full[i]:.3e} exceeded {cfg.divergence_factor:.0e} x "
-                        f"initial {loss0[i]:.3e} at step {k}"))
+            gnorm = [float(np.linalg.norm(gi)) for gi in g.reshape(K, -1)]
+            records.append((k, full, gnorm, eta, np.reshape(net.row_l1(), -1)))
+            diverged = ~np.isfinite(full) | (full > ceiling)
+            diverged[list(errors)] = False
+            for i in np.flatnonzero(diverged):
+                fail(int(i), DivergenceError(
+                    f"loss {full[i]:.3e} exceeded {cfg.divergence_factor:.0e} x "
+                    f"initial {loss0[i]:.3e} at step {k}"))
+    step, loss, grad_norm, eta, row_l1 = (np.array(col) for col in zip(*records))
     traces = [errors[i] if i in errors else TrainTrace(
-        step=np.array(rec_step, dtype=np.int64),
-        loss=np.array([float(v[i]) for v in rec_loss]),
-        grad_norm=np.array([v[i] for v in rec_gnorm]),
-        eta=np.array(rec_eta, dtype=np.float64),
-        max_row_l1=np.array([v[i] for v in rec_row]),
-        initial_loss=float(loss0[i]),
-        final_loss=float(rec_loss[-1][i]),
+        step=step.astype(np.int64), loss=loss[:, i], grad_norm=grad_norm[:, i],
+        eta=eta.copy(), max_row_l1=row_l1[:, i],
+        initial_loss=float(loss0[i]), final_loss=float(loss[-1, i]),
     ) for i in range(K)]
     return traces if lead else traces[0]
-

@@ -401,6 +401,33 @@ def test_stacked_estimator_matches_serial_loop(r, n_restarts, n_warm):
         assert rep.value > 0
 
 
+def test_estimator_passes_over_a_nan_restart():
+    # restart 0 of every sign starts from NaN parameters and, with no ascent
+    # step to reject them in the projection, ends on a NaN value. The serial
+    # loop never picks it, so neither may the stacked pick; a sign whose
+    # other restarts are all below 0 keeps the reference
+    arch, data, ref, _ = _rad_setup()
+    first = {RngStream(9).derive(10 + 31 * s).stream_id for s in range(6)}
+
+    def sampler(rng):
+        net = VelocityNet.init(arch, rng)
+        if rng.stream_id in first:
+            net.theta[:] = np.nan
+        return net
+
+    kw = dict(n_signs=6, n_restarts=3, l_ell=10.0, ascent_steps=0)
+    with np.errstate(invalid="ignore"):
+        rep = empirical_local_rademacher(sampler, ref, data, 0.05,
+                                         rng=RngStream(9), **kw)
+        value, per_sign, best_thetas, _ = _serial_local_rademacher(
+            sampler, ref, data, 0.05, rng=RngStream(9), **kw)
+    assert rep.value == value and not math.isnan(value)
+    assert rep.per_sign.tobytes() == per_sign.tobytes()
+    assert 0.0 in per_sign and (per_sign > 0).any()
+    for got, want in zip(rep.best_thetas, best_thetas):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_rademacher_size_caps():
     arch, data, ref, sampler = _rad_setup(n=48)
     big = draw_coupled(RngStream(0),

@@ -1,11 +1,13 @@
-"""Call counts of the SGD and Euler hot loops: the layout work happens once
-per epoch and once per integration, not once per step."""
+"""Call counts of the SGD, Euler and Rademacher-ascent hot loops: the layout
+work happens once per epoch, once per integration and once per estimate, not
+once per step."""
 
 import numpy as np
 
 import rflab.linalg_rng
 import rflab.network
 import rflab.sampler
+from rflab.bounds import empirical_local_rademacher
 from rflab.distributions import CoupledBatch, DistributionSpec, draw_coupled
 from rflab.linalg_rng import RngStream
 from rflab.network import NetArchitecture, VelocityNet
@@ -59,3 +61,19 @@ def test_euler_on_a_net_normalises_its_input_once(monkeypatch):
     # a plain callable is still called, and its input normalised, per step
     euler_integrate(lambda z, t: net(z, t), z0, 40)
     assert len(calls) == 1 + 1 + 40
+
+
+def test_rademacher_ascent_lays_out_its_batch_once(monkeypatch):
+    layouts = []
+    lay_out = VelocityNet.lay_out
+
+    def counting(self, batch, into=None):
+        layouts.append(len(batch))
+        return lay_out(self, batch, into)
+
+    monkeypatch.setattr(VelocityNet, "lay_out", counting)
+    ref = VelocityNet.init(_ARCH, RngStream(8))
+    empirical_local_rademacher(lambda rng: VelocityNet.init(_ARCH, rng), ref,
+                               _data(48, seed=9), 0.1, n_signs=2, n_restarts=2,
+                               rng=RngStream(10), l_ell=10.0, ascent_steps=5)
+    assert layouts == [48]

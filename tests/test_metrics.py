@@ -130,6 +130,21 @@ def test_excess_risk_constant_gap():
     assert excess_risk(field_a, field_b, holdout) == pytest.approx(4.5)
 
 
+@pytest.mark.parametrize("dim,n,width", [(1, 64, 4), (2, 64, 4), (1, 9000, 24)],
+                         ids=["1d", "2d", "1d-blocked"])
+def test_excess_risk_of_a_stack_is_one_value_per_member(dim, n, width):
+    # 9,000 rows of width 25 run the forward pass in blocks
+    arch = NetArchitecture(dim=dim, hidden=(width,))
+    nets = [VelocityNet.init(arch, RngStream(30, i)) for i in range(3)]
+    proxy = VelocityNet.init(arch, RngStream(31))
+    holdout = _holdout(n=n, seed=32, dim=dim)
+    risks = excess_risk(VelocityNet.stack(nets), proxy, holdout)
+    assert risks.shape == (3,)
+    for risk, net in zip(risks, nets):
+        alone = excess_risk(net, proxy, holdout)
+        assert isinstance(alone, float) and risk == alone
+
+
 def test_excess_risk_empty_holdout():
     from rflab.distributions import CoupledBatch
     empty = CoupledBatch(np.zeros(0), np.zeros((0, 1)), np.zeros((0, 1)))

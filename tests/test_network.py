@@ -486,6 +486,23 @@ def test_loss_of_zero_net_is_mean_square_displacement():
     assert net.loss(batch) == pytest.approx(expect, rel=1e-12)
 
 
+def test_per_member_results_of_a_stack():
+    # sample_losses and row_l1 give one row or value per member, each equal
+    # to the member's own; loss is the mean of sample_losses
+    arch = _arch(dim=2, hidden=(4,))
+    batch = _batch(2, 16, seed=7)
+    nets = [VelocityNet.init(arch, RngStream(3, i)) for i in range(3)]
+    stack = VelocityNet.stack(nets)
+    losses, rows = stack.sample_losses(batch), stack.row_l1()
+    assert losses.shape == (3, 16) and rows.shape == (3,)
+    for i, net in enumerate(nets):
+        res = net.residual(batch)
+        assert net.sample_losses(batch).tobytes() == losses[i].tobytes() \
+            == np.sum(res * res, axis=-1).tobytes()
+        assert net.loss(batch) == np.mean(losses[i]) == stack.loss(batch)[i]
+        assert isinstance(net.row_l1(), float) and net.row_l1() == rows[i]
+
+
 def test_residual_is_the_call_minus_the_displacement():
     # the Rademacher estimator reads residuals without re-checking its batch
     arch = _arch(dim=2, hidden=(4,))
@@ -728,6 +745,16 @@ def test_checkpoint_roundtrip_and_byte_identity(tmp_path):
     assert header["seed"] == 99 and header["step"] == 17 and header["note"] == "x"
     assert loaded.arch == net.arch
     assert (loaded.get_theta() == net.get_theta()).all()
+
+
+def test_checkpoint_rejects_a_stack(tmp_path):
+    # the header holds one net's parameter count, so a stack could not load
+    stack = VelocityNet.stack([VelocityNet.init(_arch(), RngStream(25, i))
+                               for i in range(4)])
+    path = tmp_path / "stack.ckpt"
+    with pytest.raises(ValueError, match="not a stack"):
+        save_checkpoint(stack, path, seed=0, step=0)
+    assert not path.exists()
 
 
 def test_checkpoint_rejects_corruption(tmp_path):

@@ -9,6 +9,7 @@ from oracles_support import conditional_mean_mc
 from rflab import oracles
 from rflab.distributions import DistributionSpec
 from rflab.linalg_rng import RngStream
+from rflab.network import NetArchitecture, VelocityNet
 from rflab.oracles import (LowerBoundInstance, _quad, conditional_x0_mean,
                            gaussian_closed_form, lecam_budget, lowerbound_grid,
                            midpoint_pdf, mixture_posterior_velocity,
@@ -170,6 +171,21 @@ def test_velocity_l2_error_analytic_constants():
     const = lambda x, t: np.full_like(x, 2.0)
     est2, se2 = velocity_l2_error(const, *spec, 400_000, RngStream(43))
     assert est2 == pytest.approx(2.0 - math.pi / 2.0, abs=5 * se2)
+
+
+@pytest.mark.parametrize("dim,n,width", [(1, 64, 4), (2, 64, 4), (1, 9000, 24)],
+                         ids=["1d", "2d", "1d-blocked"])
+def test_velocity_l2_error_of_a_stack_is_one_value_per_member(dim, n, width):
+    # 9,000 rows of width 25 run the forward pass in blocks
+    spec = _gauss(np.zeros(dim), 1.0), _gauss(np.full(dim, 2.0), 1.0)
+    arch = NetArchitecture(dim=dim, hidden=(width,))
+    nets = [VelocityNet.init(arch, RngStream(33, i)) for i in range(3)]
+    est, stderr = velocity_l2_error(VelocityNet.stack(nets), *spec, n, RngStream(34))
+    assert est.shape == stderr.shape == (3,)
+    for i, net in enumerate(nets):
+        alone = velocity_l2_error(net, *spec, n, RngStream(34))
+        assert all(isinstance(v, float) for v in alone)
+        assert (est[i], stderr[i]) == alone
 
 
 # -- two-hypothesis construction -------------------------------------------------------

@@ -95,6 +95,9 @@ def test_max_row_l1_is_a_scalar_for_a_stack():
     stack = VelocityNet.stack([VelocityNet.init(arch, RngStream(i))
                                for i in range(3)])
     assert isinstance(stack.max_row_l1(), float)
+    assert isinstance(stack.member(0).max_row_l1(), float)
+    assert stack.row_l1().tolist() == [stack.member(i).max_row_l1()
+                                       for i in range(3)]
     assert stack.max_row_l1() == max(stack.member(i).max_row_l1()
                                      for i in range(3))
     assert np.ndim(stack.max_row_l1() > arch.l1_budget) == 0
