@@ -266,29 +266,80 @@ def _localization_sq(net, ref_loss: np.ndarray, batch, l_ell: float):
     return l_ell ** 2 * np.mean(gap * gap, axis=-1)
 
 
+# The pull stops once a bracket is at most 2 eps = 2^-40 wide, the precision
+# of 40 bisection steps on [0, 1]
+_PULL_EPS = 2.0 ** -41
+# ITP (Oliveira and Takahashi, ACM TOMS 47(1), 2020) with kappa1 = 0.2,
+# kappa2 = 2 and n0 = 1: no bracket takes more than 40 + 1 passes
+_ITP_KAPPA1 = 0.2
+_ITP_N_MAX = 41
+
+
+def _itp_points(lo, hi, y_lo, y_hi, plain, j: int):
+    """Pass j's evaluation point in each bracket [lo, hi] of g, where
+    g(lo) = y_lo < 0 <= y_hi = g(hi): ITP's regula falsi point, moved
+    0.2 width^2 towards the midpoint and kept within 2^-j - width/2 of it,
+    which halves the worst case of every pass as bisection does. The move is
+    at least eps, since a smaller one would leave a point that sits at the
+    float resolution of the root where it is. A `plain` bracket takes its
+    midpoint, as does one whose y_hi is not finite (its regula falsi point
+    is NaN)."""
+    width = hi - lo
+    mid = 0.5 * (lo + hi)
+    with np.errstate(invalid="ignore", over="ignore"):
+        x_f = (y_hi * lo - y_lo * hi) / (y_hi - y_lo)
+    sigma = np.sign(mid - x_f)
+    delta = np.maximum(_ITP_KAPPA1 * width * width, _PULL_EPS)
+    x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
+    # ITP's projection radius eps 2^(n_max - j) - width / 2
+    rad = np.maximum(math.ldexp(_PULL_EPS, _ITP_N_MAX - j) - 0.5 * width, 0.0)
+    x = np.where(np.abs(x_t - mid) <= rad, x_t, mid - sigma * rad)
+    return np.where(plain, mid, x)
+
+
 def _pull_to_ball(net, theta_ref: np.ndarray, ref_loss: np.ndarray, batch,
                   r: float, l_ell: float) -> None:
     """Move every member of a stack that lies outside the localization ball
     back along the segment to the reference, in place.
 
-    The members outside run 40 bisection steps on the blend weight in
-    lockstep, as one sub-stack, each with its own lo/hi; the members inside
-    are left untouched."""
+    A member outside gets theta_ref + lo (theta - theta_ref), where lo is
+    the inside end of a bracket [lo, hi] of the blend weight, narrowed until
+    hi - lo <= 2^-40, the precision of 40 bisection steps. The brackets are
+    narrowed in lockstep by ITP on g(w) = sqrt(loc(w)) - sqrt(r), which is
+    nearly linear in w: each pass evaluates one sub-stack of the members
+    whose bracket is still wider, and no bracket takes more than 41 passes.
+    A member whose own localization is not finite bisects, and at r = 0,
+    where only the reference is inside, every member outside goes to it.
+    The members inside are left untouched."""
     # both endpoints satisfy the row constraints, so every blend does too.
     # A NaN localization counts as outside, as in a one-net `<= r` test
-    outside = np.flatnonzero(~(_localization_sq(net, ref_loss, batch, l_ell) <= r))
+    loc = _localization_sq(net, ref_loss, batch, l_ell)
+    outside = np.flatnonzero(~(loc <= r))
     if outside.size == 0:
         return
-    theta = net.theta[outside]
-    sub = VelocityNet(net.arch, theta)
-    step = theta - theta_ref
+    step = net.theta[outside] - theta_ref
     lo, hi = np.zeros(outside.size), np.ones(outside.size)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        sub.set_theta(theta_ref + mid[:, None] * step)
-        inside = _localization_sq(sub, ref_loss, batch, l_ell) <= r
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
+    root = math.sqrt(r)
+    y_lo = np.full(outside.size, -root)
+    y_hi = np.sqrt(loc[outside]) - root
+    plain = ~np.isfinite(y_hi)
+    live = np.arange(outside.size if r > 0 else 0)
+    j = 0
+    while live.size:
+        x = _itp_points(lo[live], hi[live], y_lo[live], y_hi[live], plain[live], j)
+        sub = VelocityNet(net.arch, theta_ref + x[:, None] * step[live])
+        loc_x = _localization_sq(sub, ref_loss, batch, l_ell)
+        with np.errstate(invalid="ignore"):   # inf - inf, only at r = inf
+            y = np.sqrt(loc_x) - root
+        inside = loc_x <= r
+        up, down = live[inside], live[~inside]
+        lo[up], y_lo[up] = x[inside], y[inside]
+        hi[down], y_hi[down] = x[~inside], y[~inside]
+        # an inside point with y = 0 is a root: its bracket closes on it
+        hit = inside & (y == 0)
+        hi[live[hit]] = x[hit]
+        live = live[hi[live] - lo[live] > 2.0 * _PULL_EPS]
+        j += 1
     net.theta[outside] = theta_ref + lo[:, None] * step
 
 
@@ -316,8 +367,14 @@ def empirical_local_rademacher(sampler, net_ref, data, r: float,
 
     Small instances only: the ascent is dense in P and n.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    if not r >= 0:
+        raise ValueError(f"r must be >= 0 (inf allowed), got {r}")
+    if not (math.isfinite(l_ell) and l_ell > 0):
+        raise ValueError(f"l_ell must be finite and > 0, got {l_ell}")
+    if ascent_steps < 0:
+        raise ValueError(f"ascent_steps must be >= 0, got {ascent_steps}")
+    if not (math.isfinite(step_size) and step_size > 0):
+        raise ValueError(f"step_size must be finite and > 0, got {step_size}")
     if net_ref.arch.param_count > 200 or len(data) > 512:
         raise ValueError("estimator restricted to P <= 200 and n <= 512")
     if n_signs < 1 or n_restarts < 1:

@@ -10,8 +10,9 @@ from rflab.bounds import (BoundInputs, RademacherReport, TruncationReport,
                           dudley_local_rad, empirical_local_rademacher,
                           excess_risk_bound, full_report, log_covering,
                           psi_and_fixed_point, r_star_closed, sample_size,
-                          stat_bound, truncation_bias_report, _min_valid_n)
-from rflab.distributions import DistributionSpec, draw_coupled
+                          stat_bound, truncation_bias_report, _localization_sq,
+                          _min_valid_n, _pull_to_ball)
+from rflab.distributions import CoupledBatch, DistributionSpec, draw_coupled
 from rflab.linalg_rng import RngStream
 from rflab.network import NetArchitecture, VelocityNet
 
@@ -320,8 +321,8 @@ def _serial_local_rademacher(sampler, net_ref, data, r, n_signs, n_restarts,
                              rng, l_ell, ascent_steps, step_size=0.05,
                              init_thetas=None):
     """Reference: one projected ascent per (sign, restart) pair, one net at a
-    time, with a bisection that returns early inside the ball. Also returns
-    how many pulls bisected."""
+    time, with a scalar ITP pull that returns early inside the ball. Also
+    returns how many pulls ran."""
 
     def per_sample_loss(net):
         res = net(data.xt, data.t) - data.disp
@@ -332,18 +333,36 @@ def _serial_local_rademacher(sampler, net_ref, data, r, n_signs, n_restarts,
         return l_ell ** 2 * float(np.mean(gap * gap))
 
     def pull_to_ball(net):
-        if localization_sq(net) <= r:
+        # ITP on g(w) = sqrt(loc(w)) - sqrt(r), one float at a time
+        loc = localization_sq(net)
+        if loc <= r:
             return 0
-        theta = net.get_theta()
-        lo, hi = 0.0, 1.0
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            net.set_theta(theta_ref + mid * (theta - theta_ref))
-            if localization_sq(net) <= r:
-                lo = mid
+        step = net.get_theta() - theta_ref
+        lo, hi, j = 0.0, 1.0, 0
+        root = math.sqrt(r)
+        y_lo, y_hi = -root, math.sqrt(loc) - root
+        plain = not math.isfinite(y_hi)
+        while r > 0 and hi - lo > 2.0 ** -40:
+            width, mid = hi - lo, 0.5 * (lo + hi)
+            x = mid
+            if not plain and math.isfinite(y_hi):
+                x_f = (y_hi * lo - y_lo * hi) / (y_hi - y_lo)
+                sigma = float((mid > x_f) - (mid < x_f))
+                delta = max(0.2 * width * width, 2.0 ** -41)
+                x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+                rad = max(2.0 ** -j - 0.5 * width, 0.0)
+                x = x_t if abs(x_t - mid) <= rad else mid - sigma * rad
+            net.set_theta(theta_ref + x * step)
+            loc = localization_sq(net)
+            y = math.sqrt(loc) - root
+            if loc <= r:
+                lo, y_lo = x, y
+                if y == 0:
+                    hi = x
             else:
-                hi = mid
-        net.set_theta(theta_ref + lo * (theta - theta_ref))
+                hi, y_hi = x, y
+            j += 1
+        net.set_theta(theta_ref + lo * step)
         return 1
 
     theta_ref = net_ref.get_theta()
@@ -441,6 +460,117 @@ def test_rademacher_size_caps():
         empirical_local_rademacher(sampler, wide, data, 0.1, 1, 1, RngStream(0), 10.0)
     with pytest.raises(ValueError):
         empirical_local_rademacher(sampler, ref, data, -0.1, 1, 1, RngStream(0), 10.0)
+
+
+def _estimate(**kw):
+    _, data, ref, sampler = _rad_setup()
+    args = dict(r=0.1, n_signs=1, n_restarts=1, rng=RngStream(0), l_ell=10.0,
+                ascent_steps=2)
+    args.update(kw)
+    return empirical_local_rademacher(sampler, ref, data, **args)
+
+
+def test_estimator_rejects_a_bad_radius():
+    for r in (math.nan, -math.inf, -0.1):
+        with pytest.raises(ValueError, match="^r must be >= 0"):
+            _estimate(r=r)
+    assert _estimate(r=math.inf).value > 0
+
+
+def test_estimator_rejects_a_bad_l_ell():
+    for l_ell in (math.nan, math.inf, 0.0, -10.0):
+        with pytest.raises(ValueError, match="^l_ell must be finite and > 0"):
+            _estimate(l_ell=l_ell)
+
+
+def test_estimator_rejects_negative_ascent_steps():
+    with pytest.raises(ValueError, match="^ascent_steps must be >= 0"):
+        _estimate(ascent_steps=-5)
+    assert _estimate(ascent_steps=0).per_sign.shape == (1,)
+
+
+def test_estimator_rejects_a_bad_step_size():
+    # a negative step descends, and the estimate silently reads 0
+    for step_size in (-0.05, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^step_size must be finite and > 0"):
+            _estimate(step_size=step_size)
+
+
+def test_pull_to_ball_contract():
+    # targets the reference fits exactly, and members that differ from it
+    # only in the output layer: along each segment the localization is w^4
+    # times a constant, monotone in the blend weight w. The output bias of
+    # the reference is 0 (VelocityNet.init), and a member's bias is 1 or 2,
+    # so that the pulled bias reads lo exactly, or 2 lo
+    arch, data, ref, _ = _rad_setup()
+    fitted = CoupledBatch(data.t, data.xt, ref(data.xt, data.t))
+    ref_loss = ref.sample_losses(fitted)
+    theta_ref = ref.get_theta()
+    stack = VelocityNet.stack([ref] * 5)
+    out = stack.weights[-1]                  # (5, 1, 5): each member's output row
+    out[0, 0, :] += 1e-4                     # inside
+    out[1, 0, :] += [0.5, -0.3, 0.2, 0.1, 1.0]
+    out[2, 0, :] += [-0.2, 0.4, 0.0, 0.3, 2.0]
+    stack.theta[3] = np.nan                  # row 4 is the reference itself
+    l_ell, r = 10.0, 1.0
+    with np.errstate(invalid="ignore"):
+        loc = _localization_sq(stack, ref_loss, fitted, l_ell)
+    assert loc[0] <= r and loc[4] == 0.0 and (loc[1:3] > r).all()
+    before = stack.theta.copy()
+
+    def loc_at(theta):
+        return float(_localization_sq(VelocityNet(arch, theta), ref_loss, fitted, l_ell))
+
+    with np.errstate(invalid="ignore"):
+        _pull_to_ball(stack, theta_ref, ref_loss, fitted, r, l_ell)
+    for i in (0, 4):
+        assert stack.theta[i].tobytes() == before[i].tobytes()
+    assert np.isnan(stack.theta[3]).all()
+    for i, bias in ((1, 1.0), (2, 2.0)):
+        step = before[i] - theta_ref
+        lo = stack.theta[i, -1] / bias
+        assert 0.0 < lo < 1.0
+        assert stack.theta[i].tobytes() == (theta_ref + lo * step).tobytes()
+        assert loc_at(stack.theta[i]) <= r
+        assert loc_at(theta_ref + (lo + 2.0 ** -39) * step) > r
+        b_lo, b_hi = 0.0, 1.0
+        for _ in range(40):
+            mid = 0.5 * (b_lo + b_hi)
+            if loc_at(theta_ref + mid * step) <= r:
+                b_lo = mid
+            else:
+                b_hi = mid
+        assert abs(lo - b_lo) <= 2.0 ** -39
+
+    # at r = 0 only the reference is inside the ball
+    stack.theta[:] = before
+    with np.errstate(invalid="ignore"):
+        _pull_to_ball(stack, theta_ref, ref_loss, fitted, 0.0, l_ell)
+    for i in (0, 1, 2, 4):
+        assert stack.theta[i].tobytes() == theta_ref.tobytes()
+    assert np.isnan(stack.theta[3]).all()
+
+
+def test_pull_closes_a_bracket_on_an_exact_root(monkeypatch):
+    # a stand-in localization of 4 (w c)^2, where the member's first
+    # parameter is w c on a segment from a zero reference to c: at r = 1,
+    # g(w) = 2 c w - 1. For c = 1 ITP's first point, the midpoint, is the
+    # root, so that member leaves the passes after one; for c = 3/4 the root
+    # 2/3 is not a float, and its bracket narrows to 2^-40
+    evaluated = []
+
+    def localization_sq(net, ref_loss, batch, l_ell):
+        evaluated.append(len(net.theta))
+        return 4.0 * net.theta[:, 0] ** 2
+
+    monkeypatch.setattr("rflab.bounds._localization_sq", localization_sq)
+    arch, _, _, _ = _rad_setup()
+    net = VelocityNet(arch, np.zeros((2, arch.param_count)))
+    net.theta[:, 0] = [1.0, 0.75]
+    _pull_to_ball(net, np.zeros(arch.param_count), None, None, 1.0, 1.0)
+    assert evaluated[:3] == [2, 2, 1] and len(evaluated) <= 1 + 41
+    assert net.theta[0, 0] == 0.5
+    assert 0.0 <= 0.5 - net.theta[1, 0] <= 2.0 ** -40 * 0.75
 
 
 # -- truncation ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Call counts of the SGD, Euler and Rademacher-ascent hot loops: the layout
 work happens once per epoch, once per integration and once per estimate, not
-once per step."""
+once per step, and the ascent's pulls to the localization ball stay within
+their pass budget."""
 
 import numpy as np
 
+import rflab.bounds
 import rflab.linalg_rng
 import rflab.network
 import rflab.sampler
@@ -77,3 +79,32 @@ def test_rademacher_ascent_lays_out_its_batch_once(monkeypatch):
                                _data(48, seed=9), 0.1, n_signs=2, n_restarts=2,
                                rng=RngStream(10), l_ell=10.0, ascent_steps=5)
     assert layouts == [48]
+
+
+def test_rademacher_pulls_stay_within_the_itp_pass_bounds(monkeypatch):
+    """Each pull back to the localization ball takes at most 41 passes
+    (bisection's 40 plus ITP's n0 = 1), and on this instance the pulls take
+    at most 30 passes each on average, where the 40-step bisection took 40
+    on every pull. A pass is one `_localization_sq` call after the pull's
+    first, which decides who is outside."""
+    passes = []
+    localization_sq, pull = rflab.bounds._localization_sq, rflab.bounds._pull_to_ball
+
+    def counting_sq(*args):
+        passes[-1] += 1
+        return localization_sq(*args)
+
+    def counting_pull(*args):
+        passes.append(-1)
+        pull(*args)
+
+    monkeypatch.setattr(rflab.bounds, "_localization_sq", counting_sq)
+    monkeypatch.setattr(rflab.bounds, "_pull_to_ball", counting_pull)
+    ref = VelocityNet.init(_ARCH, RngStream(8))
+    empirical_local_rademacher(lambda rng: VelocityNet.init(_ARCH, rng), ref,
+                               _data(48, seed=9), 0.1, n_signs=2, n_restarts=2,
+                               rng=RngStream(10), l_ell=10.0, ascent_steps=5)
+    pulls = [p for p in passes if p > 0]
+    assert len(passes) == 6 and len(pulls) >= 5
+    assert max(pulls) <= 41
+    assert sum(pulls) <= 30 * len(pulls)
