@@ -286,7 +286,7 @@ def _itp_points(lo, hi, y_lo, y_hi, plain, j: int):
     is NaN)."""
     width = hi - lo
     mid = 0.5 * (lo + hi)
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore"):   # inf * 0 and inf / inf: NaN
         x_f = (y_hi * lo - y_lo * hi) / (y_hi - y_lo)
     sigma = np.sign(mid - x_f)
     delta = np.maximum(_ITP_KAPPA1 * width * width, _PULL_EPS)
@@ -329,8 +329,7 @@ def _pull_to_ball(net, theta_ref: np.ndarray, ref_loss: np.ndarray, batch,
         x = _itp_points(lo[live], hi[live], y_lo[live], y_hi[live], plain[live], j)
         sub = VelocityNet(net.arch, theta_ref + x[:, None] * step[live])
         loc_x = _localization_sq(sub, ref_loss, batch, l_ell)
-        with np.errstate(invalid="ignore"):   # inf - inf, only at r = inf
-            y = np.sqrt(loc_x) - root
+        y = np.sqrt(loc_x) - root
         inside = loc_x <= r
         up, down = live[inside], live[~inside]
         lo[up], y_lo[up] = x[inside], y[inside]

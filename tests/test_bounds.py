@@ -496,33 +496,47 @@ def test_estimator_rejects_a_bad_step_size():
             _estimate(step_size=step_size)
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def test_pull_to_ball_contract():
     # targets the reference fits exactly, and members that differ from it
     # only in the output layer: along each segment the localization is w^4
     # times a constant, monotone in the blend weight w. The output bias of
     # the reference is 0 (VelocityNet.init), and a member's bias is 1 or 2,
-    # so that the pulled bias reads lo exactly, or 2 lo
+    # so that the pulled bias reads lo exactly, or 2 lo. At r = 1e300,
+    # member 5's localization overflows to inf at w = 1 but not at w = 1/2,
+    # and its root is near 6e-3
     arch, data, ref, _ = _rad_setup()
     fitted = CoupledBatch(data.t, data.xt, ref(data.xt, data.t))
     ref_loss = ref.sample_losses(fitted)
     theta_ref = ref.get_theta()
-    stack = VelocityNet.stack([ref] * 5)
-    out = stack.weights[-1]                  # (5, 1, 5): each member's output row
+    stack = VelocityNet.stack([ref] * 6)
+    out = stack.weights[-1]                  # (6, 1, 5): each member's output row
     out[0, 0, :] += 1e-4                     # inside
     out[1, 0, :] += [0.5, -0.3, 0.2, 0.1, 1.0]
     out[2, 0, :] += [-0.2, 0.4, 0.0, 0.3, 2.0]
     stack.theta[3] = np.nan                  # row 4 is the reference itself
+    out[5, 0, -1] = 5e76
     l_ell, r = 10.0, 1.0
-    with np.errstate(invalid="ignore"):
-        loc = _localization_sq(stack, ref_loss, fitted, l_ell)
-    assert loc[0] <= r and loc[4] == 0.0 and (loc[1:3] > r).all()
-    before = stack.theta.copy()
 
     def loc_at(theta):
-        return float(_localization_sq(VelocityNet(arch, theta), ref_loss, fitted, l_ell))
+        return _localization_sq(VelocityNet(arch, theta), ref_loss, fitted, l_ell)
 
-    with np.errstate(invalid="ignore"):
-        _pull_to_ball(stack, theta_ref, ref_loss, fitted, r, l_ell)
+    def bisect(step, r):
+        lo, hi = 0.0, 1.0
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if loc_at(theta_ref + mid * step) <= r:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    loc = loc_at(stack.theta)
+    assert loc[0] <= r and loc[4] == 0.0 and (loc[1:3] > r).all()
+    assert loc[5] == math.inf
+    assert 1e300 < loc_at(theta_ref + 0.5 * (stack.theta[5] - theta_ref)) < math.inf
+    before = stack.theta.copy()
+    _pull_to_ball(stack, theta_ref, ref_loss, fitted, r, l_ell)
     for i in (0, 4):
         assert stack.theta[i].tobytes() == before[i].tobytes()
     assert np.isnan(stack.theta[3]).all()
@@ -533,20 +547,21 @@ def test_pull_to_ball_contract():
         assert stack.theta[i].tobytes() == (theta_ref + lo * step).tobytes()
         assert loc_at(stack.theta[i]) <= r
         assert loc_at(theta_ref + (lo + 2.0 ** -39) * step) > r
-        b_lo, b_hi = 0.0, 1.0
-        for _ in range(40):
-            mid = 0.5 * (b_lo + b_hi)
-            if loc_at(theta_ref + mid * step) <= r:
-                b_lo = mid
-            else:
-                b_hi = mid
-        assert abs(lo - b_lo) <= 2.0 ** -39
+        assert abs(lo - bisect(step, r)) <= 2.0 ** -39
+    # a member whose localization at w = 1 is not finite bisects
+    stack.theta[:] = before
+    _pull_to_ball(stack, theta_ref, ref_loss, fitted, 1e300, l_ell)
+    step = before[5] - theta_ref
+    lo = bisect(step, 1e300)
+    assert 5e-3 < lo < 7e-3
+    assert stack.theta[5].tobytes() == (theta_ref + lo * step).tobytes()
+    assert np.isnan(stack.theta[3]).all()
+    assert stack.theta[[0, 1, 2, 4]].tobytes() == before[[0, 1, 2, 4]].tobytes()
 
     # at r = 0 only the reference is inside the ball
     stack.theta[:] = before
-    with np.errstate(invalid="ignore"):
-        _pull_to_ball(stack, theta_ref, ref_loss, fitted, 0.0, l_ell)
-    for i in (0, 1, 2, 4):
+    _pull_to_ball(stack, theta_ref, ref_loss, fitted, 0.0, l_ell)
+    for i in (0, 1, 2, 4, 5):
         assert stack.theta[i].tobytes() == theta_ref.tobytes()
     assert np.isnan(stack.theta[3]).all()
 
@@ -571,6 +586,32 @@ def test_pull_closes_a_bracket_on_an_exact_root(monkeypatch):
     assert evaluated[:3] == [2, 2, 1] and len(evaluated) <= 1 + 41
     assert net.theta[0, 0] == 0.5
     assert 0.0 <= 0.5 - net.theta[1, 0] <= 2.0 ** -40 * 0.75
+    # at r = 0 only the reference is inside: no pass runs
+    evaluated.clear()
+    net.theta[:, 0] = [1.0, 0.75]
+    _pull_to_ball(net, np.zeros(arch.param_count), None, None, 0.0, 1.0)
+    assert evaluated == [2] and not net.theta.any()
+
+
+def test_pull_keeps_its_worst_case_where_regula_falsi_stalls(monkeypatch):
+    # a stand-in localization of 10 w below w = 0.1 and 1 + 1e7 (w - 0.1)
+    # above: at r = 1 the regula falsi point creeps towards the kink from
+    # below, and only ITP's projection keeps the pull within 41 passes
+    passes = []
+
+    def localization_sq(net, ref_loss, batch, l_ell):
+        passes.append(1)
+        w = net.theta[:, 0]
+        return np.where(w < 0.1, 10.0 * w, 1.0 + 1e7 * (w - 0.1))
+
+    monkeypatch.setattr("rflab.bounds._localization_sq", localization_sq)
+    arch, _, _, _ = _rad_setup()
+    net = VelocityNet(arch, np.zeros((1, arch.param_count)))
+    net.theta[0, 0] = 1.0
+    _pull_to_ball(net, np.zeros(arch.param_count), None, None, 1.0, 1.0)
+    assert len(passes) - 1 <= 41
+    assert localization_sq(net, None, None, None)[0] <= 1.0
+    assert 0.0 <= 0.1 - net.theta[0, 0] <= 2.0 ** -40
 
 
 # -- truncation ---------------------------------------------------------------------------
