@@ -365,7 +365,7 @@ class VelocityNet:
         """Squared residual ||v(xt,t) - disp||^2 of every sample: (n,), or
         (K, n) for a stack or a stacked batch."""
         res = self.residual(batch)
-        return np.einsum("...i,...i->...", res, res)
+        return np.add.reduce(res * res, axis=-1)
 
     def loss(self, batch: CoupledBatch):
         """Batch-mean squared residual (1/n) sum ||v(xt,t) - disp||^2: a float,

@@ -112,8 +112,7 @@ def test_rademacher_pulls_stay_within_the_itp_pass_bounds(monkeypatch):
     """Each pull back to the localization ball takes at most 41 passes
     (bisection's 40 plus ITP's n0 = 1, whatever the truncation constant),
     and on this instance the pulls take at most 30 passes each on average,
-    where the 40-step bisection took 40 on every pull. ITP with kappa1 = 0.2
-    took 9-10 per pull here, and with kappa1 = 0.005 it takes 7."""
+    where the 40-step bisection took 40 on every pull; ITP takes 7."""
     passes = _pull_passes(monkeypatch, 0.1, ascent_steps=5)
     pulls = [p for p in passes if p > 0]
     assert len(pulls) >= 5
