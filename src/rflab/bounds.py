@@ -273,15 +273,15 @@ def _localization_sq(net, ref_loss: np.ndarray, batch, l_ell: float):
 _PULL_EPS = 2.0 ** -41
 # ITP (Oliveira and Takahashi, ACM TOMS 47(1), 2020) with kappa2 = 2 and
 # n0 = 1: no bracket takes more than 40 + 1 passes, whatever kappa1 is, as
-# that worst case comes from ITP's projection alone. kappa1 is the smallest
-# truncation that still keeps regula falsi from stalling, chosen on this
-# estimator's own workload (P 33, 4 signs, 2 restarts, 40 ascent steps):
-# summed over 6 seeds of the 3-radius benchmark instance at n = 512, c06's
-# 10 radii and 11-radius profiles at n = 128, 256 and 512, the pulls took
-# 23,599 passes at the paper's kappa1 = 0.2 for a unit bracket, 18,780 at
-# 0.02, 16,735 at 0.005 (the fewest; 16,748 at 0.007, 16,761 at 0.003) and
-# 16,927 at 0.001, and they stall at 0. A larger kappa1 spends each early
-# pass near the midpoint; a smaller one lets a point creep along a curved g
+# that worst case comes from ITP's projection alone. kappa1 is set on this
+# estimator's own workload (P 33, 4 signs, 2 restarts, 40 ascent steps).
+# Summed over six seeds of the benchmark's 3-radius instance at n = 512,
+# c06's 10 radii and 11-radius profiles at n = 128, 256 and 512, the pulls
+# took 23,599 passes at 0.2, the paper's value for a unit bracket; 18,780 at
+# 0.02; 16,735 at 0.005, the fewest (16,748 at 0.007, 16,761 at 0.003); and
+# 16,927 at 0.001. A larger kappa1 spends each early pass near the midpoint;
+# a smaller one lets regula falsi creep, up to 1,537 passes on one 3-radius
+# run at 0, against 1,166 at 0.2
 _ITP_KAPPA1 = 0.005
 _ITP_N_MAX = 41
 

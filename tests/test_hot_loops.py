@@ -82,10 +82,9 @@ def test_rademacher_ascent_lays_out_its_batch_once(monkeypatch):
 
 
 def _pull_passes(monkeypatch, r, ascent_steps):
-    """Passes of every pull back to the localization ball of a fixed small
-    ascent. A pass is one `_localization_sq` call after the pull's first,
-    which decides who is outside; a pull that finds no member outside makes
-    no pass."""
+    """Passes of every pull back to the localization ball that makes any, in
+    a fixed small ascent. A pass is one `_localization_sq` call after the
+    pull's first, which decides who is outside."""
     passes = []
     localization_sq, pull = rflab.bounds._localization_sq, rflab.bounds._pull_to_ball
 
@@ -105,7 +104,7 @@ def _pull_passes(monkeypatch, r, ascent_steps):
                                rng=RngStream(10), l_ell=10.0,
                                ascent_steps=ascent_steps)
     assert len(passes) == 1 + ascent_steps
-    return passes
+    return [p for p in passes if p > 0]
 
 
 def test_rademacher_pulls_stay_within_the_itp_pass_bounds(monkeypatch):
@@ -113,8 +112,7 @@ def test_rademacher_pulls_stay_within_the_itp_pass_bounds(monkeypatch):
     (bisection's 40 plus ITP's n0 = 1, whatever the truncation constant),
     and on this instance the pulls take at most 30 passes each on average,
     where the 40-step bisection took 40 on every pull; ITP takes 7."""
-    passes = _pull_passes(monkeypatch, 0.1, ascent_steps=5)
-    pulls = [p for p in passes if p > 0]
+    pulls = _pull_passes(monkeypatch, 0.1, ascent_steps=5)
     assert len(pulls) >= 5
     assert max(pulls) <= 41
     assert sum(pulls) <= 30 * len(pulls)
@@ -124,6 +122,6 @@ def test_rademacher_pull_passes_on_a_fixed_instance(monkeypatch):
     """The passes of a fixed ascent are deterministic: 21 pulls take 136
     passes in all with kappa1 = 0.005, and took 190 with kappa1 = 0.2. The
     total is pinned between the two."""
-    pulls = [p for p in _pull_passes(monkeypatch, 0.05, ascent_steps=20) if p > 0]
+    pulls = _pull_passes(monkeypatch, 0.05, ascent_steps=20)
     assert len(pulls) == 21
     assert sum(pulls) <= 163
