@@ -92,11 +92,12 @@ def write_json(path: str, exp: Experiment, obj: dict) -> None:
         fh.write("\n")
 
 
-def _ensure_out(exp: Experiment) -> str:
+def _ensure_out(exp: Experiment, args) -> str:
     try:
         os.makedirs(exp.out_dir, exist_ok=True)
     except OSError as e:
-        raise ConfigError(f"field 'out_dir' not writable: {e}") from None
+        source = "--out" if args.out else "field 'out_dir'"
+        raise ConfigError(f"{source} not writable: {e}") from None
     return exp.out_dir
 
 
@@ -113,7 +114,7 @@ def _check_n_samples(exp: Experiment) -> None:
 
 def cmd_train(exp: Experiment, args) -> int:
     _check_n_samples(exp)
-    out = _ensure_out(exp)
+    out = _ensure_out(exp, args)
     root = RngStream(exp.seed)
     data = draw_coupled(root.derive(1), exp.pi0, exp.pi1, exp.n_samples)
     net = VelocityNet.init(exp.arch, root.derive(2))
@@ -164,7 +165,7 @@ def _sample_flags(exp: Experiment, args) -> tuple[VelocityNet, dict]:
 
 def cmd_sample(exp: Experiment, args) -> int:
     net, header = _sample_flags(exp, args)
-    out = _ensure_out(exp)
+    out = _ensure_out(exp, args)
     root = RngStream(exp.seed)
     rounds = []
     if args.reflow > 0:
@@ -211,7 +212,7 @@ def cmd_sample(exp: Experiment, args) -> int:
 
 
 def cmd_sweep(exp: Experiment, args) -> int:
-    out = _ensure_out(exp)
+    out = _ensure_out(exp, args)
     rows, failures, summary = sweep.run(exp, args.jobs)
     write_csv(os.path.join(out, "sweep.csv"), exp,
               ["n", "trial", "seed", "excess_risk", "vel_l2", "w2",
@@ -237,7 +238,7 @@ def cmd_sweep(exp: Experiment, args) -> int:
 
 
 def cmd_bounds(exp: Experiment, args) -> int:
-    out = _ensure_out(exp)
+    out = _ensure_out(exp, args)
     rep = full_report(exp.bounds, sigma=exp.sigma)
     payload = dataclasses.asdict(rep)
     payload["const_product_705_288"] = 705 * 288
@@ -258,7 +259,7 @@ def cmd_bounds(exp: Experiment, args) -> int:
 
 def cmd_lowerbound(exp: Experiment, args) -> int:
     inst, m = exp.lowerbound, exp.lowerbound_m
-    out = _ensure_out(exp)
+    out = _ensure_out(exp, args)
 
     lc = lecam_budget(inst, m)
     tv, sep = lc.tv_pair, lc.separation
@@ -302,7 +303,7 @@ def _gradcheck_battery(exp: Experiment) -> list[NetArchitecture]:
 
 
 def cmd_gradcheck(exp: Experiment, args) -> int:
-    out = _ensure_out(exp)
+    out = _ensure_out(exp, args)
     root = RngStream(exp.seed).derive(9)
     reports = []
     worst = 0.0

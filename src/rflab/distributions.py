@@ -141,12 +141,7 @@ class CoupledBatch:
 def draw_coupled(rng: RngStream, pi0: DistributionSpec, pi1: DistributionSpec,
                  n: int) -> CoupledBatch:
     """n independent triples: x0 ~ pi0, x1 ~ pi1 (independent), t ~ Uniform[0,1]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    x0 = pi0.sample(rng, n)
-    x1 = pi1.sample(rng, n)
-    t = rng.gen.uniform(0.0, 1.0, size=n)
-    return CoupledBatch.from_pairs(x0, x1, t)
+    return couple_given(rng, pi0.sample(rng, n), pi1.sample(rng, n))
 
 
 def couple_given(rng: RngStream, x0: np.ndarray, x1: np.ndarray) -> CoupledBatch:

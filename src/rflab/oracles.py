@@ -12,12 +12,14 @@ numpy alone, and the m-sample testing budget.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
 from .distributions import DistributionSpec, draw_coupled
 from .linalg_rng import RngStream, as_field_input
+from .metrics import excess_risk
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -52,18 +54,13 @@ def vstar_gaussian(pi0: DistributionSpec, pi1: DistributionSpec, x, t):
 
 def velocity_l2_error(net, pi0: DistributionSpec, pi1: DistributionSpec,
                       n_mc: int, rng: RngStream):
-    """Monte-Carlo estimate (with standard error) of the integrated squared
-    velocity error int_0^1 E||net(X_t, t) - v*(X_t, t)||^2 dt: two floats, or
-    two (K,) arrays, one value per member, when net is a stack."""
-    if n_mc < 2:
-        raise ValueError("n_mc must be >= 2")
+    """Monte-Carlo estimate of the integrated squared velocity error
+    int_0^1 E||net(X_t, t) - v*(X_t, t)||^2 dt: the excess risk against v* on
+    n_mc coupled draws of rng. A float, or a (K,) array, one value per member,
+    when net is a stack."""
     _require_closed_form(pi0, pi1)   # before drawing: unequal dims cannot pair
-    b = draw_coupled(rng, pi0, pi1, n_mc)
-    gap = np.asarray(net(b.xt, b.t)) - vstar_gaussian(pi0, pi1, b.xt, b.t)
-    vals = np.sum(gap * gap, axis=-1)
-    est = vals.mean(axis=-1)
-    stderr = vals.std(ddof=1, axis=-1) / math.sqrt(n_mc)
-    return (est, stderr) if est.ndim else (float(est), float(stderr))
+    return excess_risk(net, functools.partial(vstar_gaussian, pi0, pi1),
+                       draw_coupled(rng, pi0, pi1, n_mc))
 
 
 # -- two-hypothesis construction ----------------------------------------------

@@ -6,6 +6,7 @@ directory, so reruns of the same config can be compared byte for byte.
 
 import json
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -160,9 +161,9 @@ _CONFIG_PROBES = {
     "sweep-grid-negative": ({"sweep": {**_SWEEP_BLOCK,
                                        "grid": [-5, 10, 100, 1000, 10000]}},
                             "sweep", "field 'sweep': grid values must be >= 1"),
-    "sweep-eval-samples-one": ({"sweep": {**_SWEEP_BLOCK, "eval_samples": 1}},
-                               "sweep",
-                               "field 'sweep': eval_samples must be >= 2"),
+    "sweep-eval-samples-zero": ({"sweep": {**_SWEEP_BLOCK, "eval_samples": 0}},
+                                "sweep",
+                                "field 'sweep': eval_samples must be >= 1"),
     "arch-hiden": ({"train": _TRAIN_BLOCK, "arch": {"hiden": [4]}}, "train",
                    "unknown field 'arch.hiden'"),
     "arch-l1-budjet": ({"train": _TRAIN_BLOCK, "arch": {"l1_budjet": 2.0}},
@@ -829,6 +830,37 @@ def test_sweep_value_error_in_a_cell_exits_3_before_any_output(tmp_path,
         assert not (out / name).exists()
 
 
+def test_sweep_scores_on_a_single_eval_sample(tmp_path):
+    cfg = _write_config(tmp_path, {"sweep": {**_SWEEP_BLOCK, "eval_samples": 1}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"),
+                 "sweep"]) == EXIT_OK
+
+
+def test_sweep_starts_no_idle_worker(tmp_path, monkeypatch):
+    # a worker takes whole n values, so a pool wider than the grid would
+    # start workers that get nothing to do
+    started = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return list(map(func, items))
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    cfg = _write_config(tmp_path, _SMALL_SWEEP)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "8",
+                 "sweep"]) == EXIT_OK
+    assert started == [len(_SMALL_SWEEP["sweep"]["grid"])]
+
+
 def test_sweep_rerun_and_jobs_agree(tmp_path):
     cfg = _write_config(tmp_path, _SMALL_SWEEP)
     out_a = tmp_path / "a"
@@ -1103,6 +1135,19 @@ def test_out_override_places_outputs(tmp_path):
     assert main(["--config", cfg, "--out", str(out), "gradcheck"]) == EXIT_OK
     assert (out / "gradcheck.json").exists()
     assert not (tmp_path / "from_config").exists()
+
+
+@pytest.mark.parametrize("flag", [True, False], ids=["flag", "field"])
+def test_unwritable_out_names_its_source(tmp_path, capsys, flag):
+    # a bad --out is reported as the flag, not as the config field
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out = str(tmp_path / "file" / "sub")
+    cfg = _write_config(tmp_path, {} if flag else {"out_dir": out})
+    code = main(["--config", cfg, *(["--out", out] if flag else []),
+                 "gradcheck"])
+    assert code == EXIT_CONFIG
+    source = "--out" if flag else "field 'out_dir'"
+    assert f"config error: {source} not writable: " in capsys.readouterr().err
 
 
 def test_seed_override_changes_train_data(tmp_path):

@@ -7,7 +7,8 @@ Gaussian), train on an empirical target, small sweeps at --jobs 1 and 2 and
 in 2-D, bounds, lowerbound, gradcheck and the benchmark's risk run. sweep.csv
 is hashed without its wall-clock runtime_ms column.
 
-Output bytes depend on the Python, numpy and scipy versions, the BLAS and
+Output bytes depend on the Python, numpy and scipy versions, the BLAS, its
+kernel (OpenBLAS picks one per CPU, and OPENBLAS_CORETYPE forces one) and
 numpy's SIMD dispatch level, so the manifest holds one entry per environment
 fingerprint. On a known fingerprint a mismatch fails and names the files; on
 an unknown one the test prints the computed entry and skips.
@@ -20,11 +21,14 @@ which prints each output it added, removed or changed, with the first 12
 hex digits of the old and new hash, or "no entry changed".
 """
 
+import ctypes
+import glob
 import hashlib
 import importlib.util
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 
@@ -32,6 +36,7 @@ import numpy as np
 import pytest
 import scipy
 
+import rflab
 from rflab.cli import EXIT_OK, main
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -46,13 +51,27 @@ _SWEEP_1D = {"task": "gaussian_1d", "seed": 5,
 _SAMPLE = ["--count", "64", "--steps", "8"]
 
 
+def blas_kernel() -> str:
+    """The kernel that numpy's bundled OpenBLAS runs, or 'unknown' where that
+    library or its corename symbol is missing."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes = ()
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def fingerprint() -> str:
     """The environment the output bytes depend on, as one manifest key."""
     from numpy._core import _multiarray_umath as umath
     enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     return (f"python {platform.python_version()}, numpy {np.__version__}, "
-            f"scipy {scipy.__version__}, blas {blas}, "
+            f"scipy {scipy.__version__}, blas {blas} {blas_kernel()}, "
             f"dispatch {enabled[-1] if enabled else 'baseline'}")
 
 
@@ -158,6 +177,25 @@ def test_update_report_names_each_changed_entry():
         "removed b/z: 333333333333 -> -",
         "added c/w: - -> 555555555555"]
     assert _report(want, want) == ["no entry changed"]
+
+
+def test_fingerprint_names_a_forced_blas_kernel():
+    # a host whose OpenBLAS picks another kernel writes other bytes, so it
+    # must not share this host's manifest key
+    if blas_kernel() in ("unknown", "Sandybridge"):
+        pytest.skip(f"OpenBLAS kernel here is {blas_kernel()}: forcing "
+                    "Sandybridge cannot change the key")
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "from test_golden import fingerprint; print(fingerprint())")
+    run = subprocess.run([sys.executable, "-c", probe, _HERE],
+                         env=dict(os.environ, OPENBLAS_CORETYPE="Sandybridge",
+                                  PYTHONPATH=os.path.dirname(
+                                      os.path.dirname(rflab.__file__))),
+                         capture_output=True, text=True, check=True)
+    forced = run.stdout.strip()
+    if "Sandybridge" not in forced:
+        pytest.skip(f"OPENBLAS_CORETYPE=Sandybridge forced no kernel: {forced}")
+    assert forced != fingerprint()
 
 
 def test_outputs_match_the_golden_manifest(tmp_path, capsys):

@@ -7,8 +7,9 @@ from scipy import integrate
 
 from oracles_support import conditional_mean_mc
 from rflab import oracles
-from rflab.distributions import DistributionSpec
+from rflab.distributions import DistributionSpec, draw_coupled
 from rflab.linalg_rng import RngStream
+from rflab.metrics import excess_risk
 from rflab.network import NetArchitecture, VelocityNet
 from rflab.oracles import (LowerBoundInstance, _quad, conditional_x0_mean,
                            gaussian_closed_form, lecam_budget, lowerbound_grid,
@@ -154,10 +155,19 @@ def test_binned_mc_validation():
 
 def test_velocity_l2_error_zero_for_exact_field():
     spec = _spec_1d()
-    est, stderr = velocity_l2_error(functools.partial(vstar_gaussian, *spec),
-                                    *spec, 2000, RngStream(1))
+    est = velocity_l2_error(functools.partial(vstar_gaussian, *spec),
+                            *spec, 2000, RngStream(1))
     assert est == 0.0
-    assert stderr == 0.0
+
+
+def _window(field, spec, seed):
+    """5 standard errors of the mean squared gap between field and v* on the
+    points that velocity_l2_error(field, *spec, 400_000, RngStream(seed))
+    draws."""
+    b = draw_coupled(RngStream(seed), *spec, 400_000)
+    gap = field(b.xt, b.t) - vstar_gaussian(*spec, b.xt, b.t)
+    vals = np.sum(gap * gap, axis=-1)
+    return 5 * (vals.std(ddof=1) / math.sqrt(vals.size))
 
 
 def test_velocity_l2_error_analytic_constants():
@@ -165,27 +175,50 @@ def test_velocity_l2_error_analytic_constants():
     # int (2t-1)^2 / ((1-t)^2 + t^2) dt = 2 - pi/2 is done by hand
     spec = _spec_1d()
     zero = lambda x, t: np.zeros_like(x)
-    est, se = velocity_l2_error(zero, *spec, 400_000, RngStream(42))
-    assert est == pytest.approx(4.0 + 2.0 - math.pi / 2.0, abs=5 * se)
+    est = velocity_l2_error(zero, *spec, 400_000, RngStream(42))
+    assert est == pytest.approx(4.0 + 2.0 - math.pi / 2.0,
+                                abs=_window(zero, spec, 42))
     # subtracting the mean displacement leaves only the variance term
     const = lambda x, t: np.full_like(x, 2.0)
-    est2, se2 = velocity_l2_error(const, *spec, 400_000, RngStream(43))
-    assert est2 == pytest.approx(2.0 - math.pi / 2.0, abs=5 * se2)
+    est2 = velocity_l2_error(const, *spec, 400_000, RngStream(43))
+    assert est2 == pytest.approx(2.0 - math.pi / 2.0,
+                                 abs=_window(const, spec, 43))
 
 
-@pytest.mark.parametrize("dim,n,width", [(1, 64, 4), (2, 64, 4), (1, 9000, 24)],
-                         ids=["1d", "2d", "1d-blocked"])
-def test_velocity_l2_error_of_a_stack_is_one_value_per_member(dim, n, width):
-    # 9,000 rows of width 25 run the forward pass in blocks
+def _stack_case(dim, n, width):
     spec = _gauss(np.zeros(dim), 1.0), _gauss(np.full(dim, 2.0), 1.0)
     arch = NetArchitecture(dim=dim, hidden=(width,))
-    nets = [VelocityNet.init(arch, RngStream(33, i)) for i in range(3)]
-    est, stderr = velocity_l2_error(VelocityNet.stack(nets), *spec, n, RngStream(34))
-    assert est.shape == stderr.shape == (3,)
+    return spec, [VelocityNet.init(arch, RngStream(33, i)) for i in range(3)]
+
+
+_STACK_CASES = pytest.mark.parametrize(
+    "dim,n,width", [(1, 64, 4), (2, 64, 4), (1, 9000, 24)],
+    ids=["1d", "2d", "1d-blocked"])
+
+
+@_STACK_CASES
+def test_velocity_l2_error_of_a_stack_is_one_value_per_member(dim, n, width):
+    # 9,000 rows of width 25 run the forward pass in blocks
+    spec, nets = _stack_case(dim, n, width)
+    est = velocity_l2_error(VelocityNet.stack(nets), *spec, n, RngStream(34))
+    assert est.shape == (3,)
     for i, net in enumerate(nets):
         alone = velocity_l2_error(net, *spec, n, RngStream(34))
-        assert all(isinstance(v, float) for v in alone)
-        assert (est[i], stderr[i]) == alone
+        assert isinstance(alone, float)
+        assert est[i] == alone
+
+
+@_STACK_CASES
+def test_velocity_l2_error_is_the_excess_risk_against_vstar(dim, n, width):
+    # one estimator: the sweep's velocity error is excess_risk with v* as the
+    # proxy, on the coupled points that the same stream draws
+    spec, nets = _stack_case(dim, n, width)
+    vstar = functools.partial(vstar_gaussian, *spec)
+    for net in (nets[0], VelocityNet.stack(nets)):
+        got = velocity_l2_error(net, *spec, n, RngStream(35))
+        want = excess_risk(net, vstar, draw_coupled(RngStream(35), *spec, n))
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
 
 
 # -- two-hypothesis construction -------------------------------------------------------
