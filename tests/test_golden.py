@@ -182,19 +182,21 @@ def test_update_report_names_each_changed_entry():
 def test_fingerprint_names_a_forced_blas_kernel():
     # a host whose OpenBLAS picks another kernel writes other bytes, so it
     # must not share this host's manifest key
-    if blas_kernel() in ("unknown", "Sandybridge"):
-        pytest.skip(f"OpenBLAS kernel here is {blas_kernel()}: forcing "
-                    "Sandybridge cannot change the key")
+    here = blas_kernel()
+    if here in ("unknown", "Sandybridge"):
+        pytest.skip(f"OpenBLAS kernel here is {here}: forcing Sandybridge "
+                    "cannot change the key")
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
-             "from test_golden import fingerprint; print(fingerprint())")
+             "from test_golden import blas_kernel, fingerprint; "
+             "print(blas_kernel()); print(fingerprint())")
     run = subprocess.run([sys.executable, "-c", probe, _HERE],
                          env=dict(os.environ, OPENBLAS_CORETYPE="Sandybridge",
                                   PYTHONPATH=os.path.dirname(
                                       os.path.dirname(rflab.__file__))),
                          capture_output=True, text=True, check=True)
-    forced = run.stdout.strip()
-    if "Sandybridge" not in forced:
-        pytest.skip(f"OPENBLAS_CORETYPE=Sandybridge forced no kernel: {forced}")
+    kernel, forced = run.stdout.splitlines()
+    if kernel != "Sandybridge":
+        pytest.skip(f"OPENBLAS_CORETYPE=Sandybridge forced no kernel: {kernel}")
     assert forced != fingerprint()
 
 
